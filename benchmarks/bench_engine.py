@@ -107,7 +107,7 @@ def run_stage_benchmark(
 
     def timed_session_run(engine: str):
         start = time.perf_counter()
-        with Session(graph, engine=engine, cache_worlds=False) as session:
+        with Session(graph, engine=engine) as session:
             result = (
                 session.query()
                 .sampler(theta=theta, seed=seed)

@@ -34,7 +34,7 @@ def evaluate_worlds(
     """Evaluate a world stream into per-world densest-family records.
 
     The evaluation half of Algorithm 1's loop, shared verbatim by the
-    sequential estimator and the per-block workers of
+    in-process session evaluation and the per-block workers of
     :mod:`repro.core.parallel` (a block is just a slice of the stream):
     each world contributes ``(densest_sets, weight)``.
     """
@@ -52,8 +52,8 @@ def evaluate_worlds(
 def finalize_mpds(records: Iterable[WorldRecord], k: int) -> MPDSResult:
     """Accumulate per-world records into the ranked Algorithm 1 result.
 
-    The accumulation half of the loop, again shared by the sequential
-    and parallel estimators.  Records must arrive in world-stream order:
+    The accumulation half of the loop, again shared by the in-process
+    and fan-out evaluations.  Records must arrive in world-stream order:
     floating-point accumulation is then performed in exactly the same
     sequence everywhere, which is what makes the parallel merge (blocks
     reassembled in grid order) *byte-identical* to a sequential run, not
@@ -92,35 +92,6 @@ def finalize_mpds(records: Iterable[WorldRecord], k: int) -> MPDSResult:
     )
 
 
-def evaluate_store_mpds(
-    store,
-    measure: DensityMeasure,
-    engine: str = "auto",
-    enumerate_all: bool = True,
-    per_world_limit: Optional[int] = 100_000,
-    stage_stats: Optional[dict] = None,
-) -> Tuple[List[WorldRecord], int]:
-    """Replay a world store into Algorithm 1's per-world records.
-
-    Returns ``(records, replayed_worlds)`` -- the evaluation half of
-    the loop over stored worlds, shared by :func:`mpds_from_store` and
-    the session evaluation cache (which keeps the records to serve
-    later ``k`` variants through :func:`finalize_mpds` alone).
-
-    When ``stage_stats`` is a dict and a vector engine ran, the
-    engine measure's per-stage split (``EngineMeasure.stage_stats``)
-    is merged into it -- the session's evaluation-timing seam.
-    """
-    worlds, loop_measure, engine_measure = store.world_stream(measure, engine)
-    records = list(
-        evaluate_worlds(worlds, loop_measure, enumerate_all, per_world_limit)
-    )
-    if engine_measure is not None and stage_stats is not None:
-        for key, value in engine_measure.stage_stats().items():
-            stage_stats[key] = stage_stats.get(key, 0) + value
-    return records, (engine_measure.replayed_worlds if engine_measure else 0)
-
-
 def mpds_from_store(
     store,
     k: int = 1,
@@ -132,19 +103,25 @@ def mpds_from_store(
     """Algorithm 1 over a pre-sampled world store -- zero sampling work.
 
     ``store`` is a :class:`repro.engine.worldstore.WorldStore`; its
-    worlds are replayed through the same evaluate/finalize seams the
-    streaming estimator uses, so the result is byte-identical to
-    :func:`top_k_mpds` with the seed/theta the store was drawn from.
-    This is the seam :class:`repro.session.Session` queries consume.
+    worlds are replayed through the same evaluate/finalize seams every
+    :class:`repro.session.Session` query runs, so the result is
+    byte-identical to :func:`top_k_mpds` with the seed/theta the store
+    was drawn from.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    measure = measure or EdgeDensity()
-    records, replayed = evaluate_store_mpds(
-        store, measure, engine, enumerate_all, per_world_limit
+    worlds, loop_measure, engine_measure = store.world_stream(
+        measure or EdgeDensity(), engine
     )
-    result = finalize_mpds(records, k)
-    result.replayed_worlds = replayed
+    result = finalize_mpds(
+        evaluate_worlds(worlds, loop_measure, enumerate_all, per_world_limit),
+        k,
+    )
+    # read after finalize consumed the stream: the engine counts replays
+    # as it evaluates
+    result.replayed_worlds = (
+        engine_measure.replayed_worlds if engine_measure else 0
+    )
     return result
 
 
@@ -161,7 +138,8 @@ def top_k_mpds(
 ) -> MPDSResult:
     """Estimate the top-k Most Probable Densest Subgraphs (Algorithm 1).
 
-    Thin shim over a one-shot :class:`repro.session.Session` query; use
+    Thin shim over a closing one-shot :class:`repro.session.Session`
+    query; use
     a session directly to reuse the sampled worlds across several
     queries (different ``k``, measures, MPDS vs NDS) without
     resampling.
@@ -198,16 +176,16 @@ def top_k_mpds(
     """
     from ..session import Session
 
-    return (
-        Session(graph, engine=engine, cache_worlds=False)
-        .query()
-        .sampler(sampler, theta=theta, seed=seed)
-        .measure(measure)
-        .top_k(k)
-        .enumerate_all(enumerate_all)
-        .per_world_limit(per_world_limit)
-        .mpds()
-    )
+    with Session(graph, engine=engine) as session:
+        return (
+            session.query()
+            .sampler(sampler, theta=theta, seed=seed)
+            .measure(measure)
+            .top_k(k)
+            .enumerate_all(enumerate_all)
+            .per_world_limit(per_world_limit)
+            .mpds()
+        )
 
 
 def estimate_tau(

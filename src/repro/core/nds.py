@@ -38,7 +38,7 @@ def evaluate_transactions(
     """Evaluate a world stream into per-world transaction records.
 
     The evaluation half of Algorithm 5's collection loop, shared by the
-    sequential estimator and the per-block workers of
+    in-process session evaluation and the per-block workers of
     :mod:`repro.core.parallel`.
     """
     for weighted in worlds:
@@ -91,31 +91,6 @@ def finalize_nds(
     )
 
 
-def evaluate_store_transactions(
-    store,
-    measure: DensityMeasure,
-    engine: str = "auto",
-    stage_stats: Optional[dict] = None,
-) -> List[TransactionRecord]:
-    """Replay a world store into Algorithm 5's transaction records.
-
-    The evaluation half of the loop over stored worlds, shared by
-    :func:`nds_from_store` and the session evaluation cache (which
-    keeps the records to serve later ``k``/``min_size`` variants
-    through the accumulate/finalize stages alone).
-
-    When ``stage_stats`` is a dict and a vector engine ran, the
-    engine measure's per-stage split (``EngineMeasure.stage_stats``)
-    is merged into it -- the session's evaluation-timing seam.
-    """
-    worlds, loop_measure, engine_measure = store.world_stream(measure, engine)
-    records = list(evaluate_transactions(worlds, loop_measure))
-    if engine_measure is not None and stage_stats is not None:
-        for key, value in engine_measure.stage_stats().items():
-            stage_stats[key] = stage_stats.get(key, 0) + value
-    return records
-
-
 def nds_from_store(
     store,
     k: int = 1,
@@ -127,45 +102,22 @@ def nds_from_store(
 
     ``store`` is a :class:`repro.engine.worldstore.WorldStore`; its
     worlds are replayed through the same evaluate/accumulate/finalize
-    seams the streaming estimator uses, so the result is byte-identical
-    to :func:`top_k_nds` with the seed/theta the store was drawn from.
-    This is the seam :class:`repro.session.Session` queries consume.
+    seams every :class:`repro.session.Session` query runs, so the
+    result is byte-identical to :func:`top_k_nds` with the seed/theta
+    the store was drawn from.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if min_size < 1:
         raise ValueError(f"min_size (l_m) must be >= 1, got {min_size}")
-    measure = measure or EdgeDensity()
+    worlds, loop_measure, _engine_measure = store.world_stream(
+        measure or EdgeDensity(), engine
+    )
     transactions, weights, total_weight, actual_theta = (
-        accumulate_transactions(
-            evaluate_store_transactions(store, measure, engine)
-        )
+        accumulate_transactions(evaluate_transactions(worlds, loop_measure))
     )
     return finalize_nds(
         transactions, weights, total_weight, actual_theta, k, min_size
-    )
-
-
-def collect_transactions(
-    graph: UncertainGraph,
-    theta: int,
-    measure: DensityMeasure,
-    sampler: Optional[WorldSampler] = None,
-    seed: Optional[int] = None,
-    engine: str = "auto",
-) -> Tuple[List[NodeSet], List[float], float, int]:
-    """Sample worlds and collect their maximum-sized densest subgraphs.
-
-    The transaction-collection stage of Algorithm 5 (lines 3-4).
-    Returns ``(transactions, weights, total_weight, actual_theta)``.
-    """
-    from ..engine.estimators import prepare_world_stream
-
-    worlds, loop_measure, _engine_measure = prepare_world_stream(
-        graph, theta, measure, sampler, seed, engine
-    )
-    return accumulate_transactions(
-        evaluate_transactions(worlds, loop_measure)
     )
 
 
@@ -181,7 +133,8 @@ def top_k_nds(
 ) -> NDSResult:
     """Estimate the top-k Nucleus Densest Subgraphs (Algorithm 5).
 
-    Thin shim over a one-shot :class:`repro.session.Session` query; use
+    Thin shim over a closing one-shot :class:`repro.session.Session`
+    query; use
     a session directly to reuse the sampled worlds across several
     queries (different ``k`` / ``min_size``, measures, NDS vs MPDS)
     without resampling.
@@ -208,15 +161,15 @@ def top_k_nds(
     """
     from ..session import Session
 
-    return (
-        Session(graph, engine=engine, cache_worlds=False)
-        .query()
-        .sampler(sampler, theta=theta, seed=seed)
-        .measure(measure)
-        .top_k(k)
-        .min_size(min_size)
-        .nds()
-    )
+    with Session(graph, engine=engine) as session:
+        return (
+            session.query()
+            .sampler(sampler, theta=theta, seed=seed)
+            .measure(measure)
+            .top_k(k)
+            .min_size(min_size)
+            .nds()
+        )
 
 
 def estimate_gamma(

@@ -21,7 +21,7 @@ substrate built around three invariants:
    shared-memory segments (:mod:`repro.engine.shm`); a task ships only
    segment names and a byte layout, and workers attach zero-copy
    (cached per segment, so a 64-block run attaches twice, not 64
-   times).
+   times).  The masks ship as the store's bit-packed uint64 words.
 3. **A worker-count-invariant chunk grid.**  The ``theta`` worlds are
    sharded over fixed contiguous blocks (:func:`repro.engine.blocks.
    plan_blocks` -- a pure function of the world count).  Workers claim
@@ -33,24 +33,18 @@ substrate built around three invariants:
 
 Determinism contract
 --------------------
-* **Seeded runs** (``seed`` given or a seeded MC/LP/RSS ``sampler``
-  passed): the parent replays the sampler's *continuous* RNG stream via
-  its vectorised twin and pre-partitions the resulting mask / insertion
-  -order / weight arrays along the grid.  The worlds each block
-  evaluates are byte-identical to the worlds the sequential estimator
-  would evaluate, so ``parallel_top_k_mpds(..., seed=s, workers=w)``
-  returns **byte-identical** results for every ``w`` -- including
-  ``workers=1``, which short-circuits to the sequential estimator --
-  and matches ``top_k_mpds(..., seed=s)`` exactly.  This covers Monte
-  Carlo, Lazy Propagation (geometric-jump stream) and Recursive
-  Stratified Sampling (stratum trial streams).
-* **Unseeded Monte Carlo runs** (``seed=None``, no sampler): sampling
-  itself is sharded.  Each block draws its own trial matrix from a
-  per-block seed derived once per call via
-  :func:`repro.engine.blocks.derive_block_seeds`
-  (``SeedSequence.spawn``), so the parent does no sampling work and the
-  result is still invariant to ``workers`` within the call (the block
-  seeds, not the workers, determine the worlds).
+The fan-out evaluates a :class:`repro.engine.worldstore.WorldStore` --
+the same store an in-process query evaluates -- so the worlds each
+block sees are byte-identical to the worlds a sequential run replays.
+For a fixed ``seed`` (or a seeded MC/LP/RSS ``sampler`` instance) the
+store is drained from the sampler's *continuous* RNG stream, and
+``parallel_top_k_mpds(..., seed=s, workers=w)`` returns
+**byte-identical** results for every ``w`` -- including ``workers=1``,
+which evaluates in-process -- and matches ``top_k_mpds(..., seed=s)``
+exactly.  This covers Monte Carlo, Lazy Propagation (geometric-jump
+stream) and Recursive Stratified Sampling (stratum trial streams).
+Unseeded runs draw a transient store from fresh entropy in the parent;
+they promise no reproducibility, only well-formed estimates.
 
 Merging preserves unbiasedness (Lemma 1 applies per world) -- but the
 stronger property above makes that moot: the parallel estimate *is* the
@@ -67,9 +61,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from ..graph.uncertain import UncertainGraph
-from .measures import DensityMeasure, EdgeDensity
-from .mpds import finalize_mpds, top_k_mpds
-from .nds import accumulate_transactions, finalize_nds, top_k_nds
+from .measures import DensityMeasure
 from .results import MPDSResult, NDSResult
 
 #: (start, stop) world-index ranges of the chunk grid
@@ -273,8 +265,7 @@ def _evaluate_block(task) -> BlockOutput:
     """Worker entry point: evaluate one chunk-grid block.
 
     ``task`` is a small picklable tuple; all heavy inputs arrive by
-    shared memory.  ``block_seed`` is set only on the unseeded Monte
-    Carlo path, where the worker draws the block's trial matrix itself.
+    shared memory.
     """
     (
         block_index,
@@ -284,44 +275,34 @@ def _evaluate_block(task) -> BlockOutput:
         graph_layout,
         job_name,
         job_layout,
-        block_seed,
         mode,
         measure,
         engine,
         enumerate_all,
         per_world_limit,
     ) = task
+    from ..engine.shm import masks_from_payload
+
     _shm, _arrays, indexed = _attached_entry(
         graph_name, graph_layout, want_graph=True
     )
-    if block_seed is not None:
-        from ..engine.blocks import mc_block_masks
-
-        masks = mc_block_masks(indexed, block_seed, stop - start)
-        records, replayed = _block_records(
-            indexed, masks, None, None, 0, stop - start,
-            measure, engine, enumerate_all, per_world_limit, mode,
-        )
-    else:
-        from ..engine.shm import masks_from_payload
-
-        _job_shm, job_arrays, _ = _attached_entry(
-            job_name, job_layout, want_graph=False
-        )
-        records, replayed = _block_records(
-            indexed,
-            masks_from_payload(job_arrays),
-            job_arrays.get("order_data"),
-            job_arrays.get("order_indptr"),
-            start,
-            stop,
-            measure, engine, enumerate_all, per_world_limit, mode,
-        )
+    _job_shm, job_arrays, _ = _attached_entry(
+        job_name, job_layout, want_graph=False
+    )
+    records, replayed = _block_records(
+        indexed,
+        masks_from_payload(job_arrays),
+        job_arrays.get("order_data"),
+        job_arrays.get("order_indptr"),
+        start,
+        stop,
+        measure, engine, enumerate_all, per_world_limit, mode,
+    )
     return block_index, records, replayed
 
 
 def _replay_truncated(
-    plan: "_RunPlan",
+    store,
     outputs: List[BlockOutput],
     measure: DensityMeasure,
     per_world_limit: Optional[int],
@@ -334,36 +315,19 @@ def _replay_truncated(
     answering (see :func:`_block_records`) and the parent, whose hash
     seed is the one a sequential run would have used, replays them
     through the same materialised-world python path the sequential
-    engines use.  Mutates ``outputs`` in place.  Worlds are rebuilt from
-    the plan's mask rows, or by re-deriving the block's trial matrix
-    from its seed on the unseeded path (cheap: only blocks that
-    actually truncated are redrawn).
+    engines use, rebuilding each world from the store's mask rows.
+    Mutates ``outputs`` in place.
     """
-    for block_index, records, _replayed in outputs:
-        if all(record is not None for record in records):
-            continue
-        start, stop = plan.blocks[block_index]
-        if plan.masks is not None:
-            masks, base = plan.masks, start
-        else:
-            from ..engine.blocks import mc_block_masks
+    from ..engine.blocks import plan_blocks
 
-            masks, base = (
-                mc_block_masks(
-                    plan.indexed, plan.block_seeds[block_index], stop - start
-                ),
-                0,
-            )
+    blocks = plan_blocks(store.count)
+    for block_index, records, _replayed in outputs:
+        start, _stop = blocks[block_index]
         for offset, record in enumerate(records):
             if record is not None:
                 continue
             i = start + offset
-            order = (
-                plan.order_data[plan.order_indptr[i]:plan.order_indptr[i + 1]]
-                if plan.order_data is not None
-                else None
-            )
-            world = plan.indexed.world_graph(masks[base + offset], order)
+            world = store.indexed.world_graph(store.mask_row(i), store.order(i))
             records[offset] = measure.all_densest(world, per_world_limit)
 
 
@@ -411,147 +375,9 @@ def _records_in_grid_order(
     return ordered(), replayed
 
 
-def merge_mpds_blocks(
-    blocks: BlockPlan,
-    weights: np.ndarray,
-    outputs: Iterable[BlockOutput],
-    k: int,
-) -> MPDSResult:
-    """Merge per-block MPDS records into the final Algorithm 1 result.
-
-    Invariant under any permutation of ``outputs`` and any partition of
-    the grid into blocks: records are replayed in grid order through
-    :func:`repro.core.mpds.finalize_mpds`, the exact accumulation the
-    sequential estimator runs.
-    """
-    records, replayed = _records_in_grid_order(blocks, weights, outputs)
-    result = finalize_mpds(records, k)
-    result.replayed_worlds = sum(replayed)
-    return result
-
-
-def merge_nds_blocks(
-    blocks: BlockPlan,
-    weights: np.ndarray,
-    outputs: Iterable[BlockOutput],
-    k: int,
-    min_size: int,
-) -> NDSResult:
-    """Merge per-block NDS transactions into the final Algorithm 5 result.
-
-    Same invariance as :func:`merge_mpds_blocks`: the parent re-runs the
-    sequential transaction accumulation over the grid-ordered stream and
-    mines the merged database once.
-    """
-    records, _replayed = _records_in_grid_order(blocks, weights, outputs)
-    transactions, tx_weights, total_weight, actual_theta = (
-        accumulate_transactions(records)
-    )
-    return finalize_nds(
-        transactions, tx_weights, total_weight, actual_theta, k, min_size
-    )
-
-
 # ----------------------------------------------------------------------
-# run planning + dispatch
+# publication + dispatch
 # ----------------------------------------------------------------------
-class _RunPlan:
-    """Everything one fan-out needs: graph, grid, and world arrays."""
-
-    __slots__ = (
-        "indexed", "blocks", "weights", "masks",
-        "order_data", "order_indptr", "block_seeds",
-    )
-
-    def __init__(self, indexed, blocks, weights, masks,
-                 order_data, order_indptr, block_seeds):
-        self.indexed = indexed
-        self.blocks = blocks
-        self.weights = weights
-        self.masks = masks
-        self.order_data = order_data
-        self.order_indptr = order_indptr
-        self.block_seeds = block_seeds
-
-
-def plan_from_store(store) -> _RunPlan:
-    """Build a fan-out plan over a pre-sampled world store.
-
-    The session layer's entry point: a
-    :class:`repro.engine.worldstore.WorldStore` already holds exactly
-    the arrays a seeded plan needs (masks, weights, insertion orders in
-    stream order), so fanning a warm query out is just laying the fixed
-    chunk grid over the stored world count -- zero sampling work.
-    Packed stores hand over their word matrix as-is
-    (:class:`repro.engine.bitset.PackedMasks`), so the published
-    segments stay 8x smaller than the boolean equivalent.
-    """
-    from ..engine.blocks import plan_blocks
-
-    return _RunPlan(
-        store.indexed,
-        plan_blocks(store.count),
-        store.weights,
-        store.mask_matrix(),
-        store.order_data,
-        store.order_indptr,
-        None,
-    )
-
-
-def _plan_run(graph: UncertainGraph, theta: int, sampler,
-              seed: Optional[int]) -> Optional[_RunPlan]:
-    """Sample (or schedule sampling for) one fan-out's worlds.
-
-    Returns ``None`` when the fan-out cannot help (edgeless graph or a
-    single-world grid) and the caller should fall back to the
-    sequential estimator *before* any RNG is consumed.
-    """
-    from ..engine.blocks import (
-        derive_block_seeds,
-        drain_mask_stream,
-        plan_blocks,
-    )
-    from ..engine.estimators import vectorized_sampler
-    from ..engine.indexed import IndexedGraph
-
-    if theta == 1:
-        return None
-    if sampler is None and seed is None:
-        # unseeded Monte Carlo: shard the sampling itself over the grid
-        indexed = IndexedGraph.from_uncertain(graph)
-        if indexed.m == 0:
-            return None
-        blocks = plan_blocks(theta)
-        return _RunPlan(
-            indexed,
-            blocks,
-            np.full(theta, 1.0 / theta, dtype=np.float64),
-            None, None, None,
-            derive_block_seeds(None, len(blocks)),
-        )
-    try:
-        vec = vectorized_sampler(graph, sampler, seed)
-    except ValueError as exc:
-        raise ValueError(
-            "the parallel substrate shards the MC, LP and RSS sampling "
-            f"streams only; {exc}"
-        ) from exc
-    if vec.indexed.m == 0:
-        return None
-    masks, weights, order_data, order_indptr = drain_mask_stream(vec, theta)
-    blocks = plan_blocks(len(weights))
-    # pack the drained matrix: the fan-out then publishes uint64 words
-    # (8x less shared memory) and workers unpack rows lazily -- replay
-    # is byte-identical either way (pack/unpack is lossless)
-    from ..engine.bitset import PackedMasks
-
-    return _RunPlan(
-        vec.indexed, blocks, weights, PackedMasks.from_bool(masks),
-        order_data, order_indptr, None,
-    )
-
-
 def _close_segments(segments: List) -> None:
     """Close and unlink raw shared-memory segments, ignoring races."""
     for shm in segments:
@@ -568,8 +394,7 @@ class PublishedGraph:
     The graph segment is store-independent: a
     :class:`repro.session.Session` publishes it **once** and shares it
     across every world store's fan-outs (workers cache attachments per
-    segment name, so warm queries re-attach nothing); the one-shot
-    wrappers own a private one per call.
+    segment name, so warm queries re-attach nothing).
     """
 
     __slots__ = ("name", "layout", "_segments")
@@ -593,16 +418,15 @@ class PublishedGraph:
 
 
 class PublishedPlan:
-    """A plan's shared-memory segments, reusable across dispatches.
+    """A store's shared-memory segments, reusable across dispatches.
 
-    Publishing (packing the graph payload and the sampled world arrays
-    into :mod:`multiprocessing` shared memory) is the per-call setup
-    cost of a fan-out.  The one-shot wrappers publish and unlink around
-    a single dispatch; a :class:`repro.session.Session` keeps the
-    published segments alive so every warm query reuses them.  Passing
-    an externally owned ``graph`` shares its segment (only the
-    per-store job arrays are packed); :meth:`close` then unlinks only
-    what this plan owns.
+    Publishing (packing the store's world arrays -- and, unless a shared
+    graph segment is passed, the graph payload -- into
+    :mod:`multiprocessing` shared memory) is the per-store setup cost
+    of a fan-out.  A :class:`repro.session.Session` keeps the published
+    segments of cached stores alive so every warm query reuses them,
+    and unlinks a transient store's segments when its dispatch ends.
+    :meth:`close` unlinks only what this plan owns.
     """
 
     __slots__ = ("graph_name", "graph_layout", "job_name", "job_layout",
@@ -612,40 +436,37 @@ class PublishedPlan:
                  owns_graph: bool) -> None:
         self.graph_name = graph.name
         self.graph_layout = graph.layout
-        self.job_name = None if job_shm is None else job_shm.name
+        self.job_name = job_shm.name
         self.job_layout = job_layout
-        self._segments = [shm for shm in (job_shm,) if shm is not None]
+        self._segments = [job_shm]
         if owns_graph:
             self._segments.append(graph)
 
     @classmethod
     def publish(
-        cls, plan: _RunPlan, graph: Optional[PublishedGraph] = None
+        cls, store, graph: Optional[PublishedGraph] = None
     ) -> "PublishedPlan":
-        """Pack the plan's world arrays (and, unless ``graph`` is given,
-        its graph payload) into shared memory."""
-        from ..engine.shm import pack_arrays
+        """Pack a world store's arrays (and, unless ``graph`` is given,
+        its graph payload) into shared memory.
+
+        The masks ship as the store's uint64 words, unpacked lazily per
+        world inside the workers.
+        """
+        from ..engine.shm import mask_payload, pack_arrays
 
         owns_graph = graph is None
         if owns_graph:
-            graph = PublishedGraph.publish(plan.indexed)
-        job_shm = job_layout = None
-        if plan.masks is not None:
-            from ..engine.shm import mask_payload
-
-            # packed plans ship uint64 words -- 8x less shared memory
-            # than the boolean byte matrix, unpacked lazily per world
-            # inside the workers (same bytes either way)
-            job_arrays = mask_payload(plan.masks)
-            if plan.order_data is not None:
-                job_arrays["order_data"] = plan.order_data
-                job_arrays["order_indptr"] = plan.order_indptr
-            try:
-                job_shm, job_layout = pack_arrays(job_arrays)
-            except BaseException:
-                if owns_graph:
-                    graph.close()
-                raise
+            graph = PublishedGraph.publish(store.indexed)
+        job_arrays = mask_payload(store.mask_matrix())
+        if store.order_data is not None:
+            job_arrays["order_data"] = store.order_data
+            job_arrays["order_indptr"] = store.order_indptr
+        try:
+            job_shm, job_layout = pack_arrays(job_arrays)
+        except BaseException:
+            if owns_graph:
+                graph.close()
+            raise
         return cls(graph, job_shm, job_layout, owns_graph)
 
     def close(self) -> None:
@@ -663,7 +484,7 @@ class PublishedPlan:
 
 
 def dispatch_blocks(
-    plan: _RunPlan,
+    store,
     published: PublishedPlan,
     workers: int,
     mode: str,
@@ -672,12 +493,14 @@ def dispatch_blocks(
     enumerate_all: bool,
     per_world_limit: Optional[int],
 ) -> List[BlockOutput]:
-    """Fan the plan's chunk grid out over the persistent pool.
+    """Fan a store's chunk grid out over the persistent pool.
 
-    ``published`` must hold the plan's segments (see
+    ``published`` must hold the store's segments (see
     :class:`PublishedPlan`); ``engine`` must already be resolved.  At
     most ``workers`` blocks are kept in flight.
     """
+    from ..engine.blocks import plan_blocks
+
     tasks = [
         (
             block_index,
@@ -687,16 +510,13 @@ def dispatch_blocks(
             published.graph_layout,
             published.job_name,
             published.job_layout,
-            None
-            if plan.block_seeds is None
-            else plan.block_seeds[block_index],
             mode,
             measure,
             engine,
             enumerate_all,
             per_world_limit,
         )
-        for block_index, (start, stop) in enumerate(plan.blocks)
+        for block_index, (start, stop) in enumerate(plan_blocks(store.count))
     ]
     window = min(workers, len(tasks))
     pool = _ensure_pool(window)
@@ -713,33 +533,6 @@ def dispatch_blocks(
     while pending:
         outputs.append(pending.pop(0).get())
     return outputs
-
-
-def _run_blocks(
-    plan: _RunPlan,
-    workers: int,
-    mode: str,
-    measure: DensityMeasure,
-    engine: str,
-    enumerate_all: bool,
-    per_world_limit: Optional[int],
-) -> List[BlockOutput]:
-    """Publish, dispatch once, and unlink (the one-shot fan-out)."""
-    published = PublishedPlan.publish(plan)
-    try:
-        return dispatch_blocks(
-            plan, published, workers, mode, measure, engine,
-            enumerate_all, per_world_limit,
-        )
-    finally:
-        published.close()
-
-
-def _resolve_eval_engine(engine: str, sampler, measure: DensityMeasure) -> str:
-    """Resolve ``auto`` exactly as the sequential estimators do."""
-    from ..engine.estimators import resolve_engine
-
-    return resolve_engine(engine, sampler, measure)
 
 
 # ----------------------------------------------------------------------
@@ -759,80 +552,31 @@ def parallel_top_k_mpds(
 ) -> MPDSResult:
     """Algorithm 1 fanned out over the shared-memory substrate.
 
-    Thin shim over a one-shot :class:`repro.session.Session` query (use
-    a session directly to reuse sampled worlds and published substrates
-    across queries).  For a fixed ``seed`` (or seeded MC/LP/RSS
-    ``sampler``) the result is **byte-identical** for every ``workers``
-    value and equal to :func:`repro.core.mpds.top_k_mpds` with the same
-    arguments -- the parent pre-partitions the sampler's continuous
-    stream over the fixed chunk grid and merges per-block records
-    through the sequential accumulation code (see the module docstring
-    for the full determinism contract).  ``workers="auto"`` (default)
-    sizes the fan-out to the host's usable cores
-    (:func:`resolve_workers`) -- a 1-core host runs sequentially;
-    ``workers=1`` short-circuits to the sequential estimator.
+    Thin shim over a closing one-shot :class:`repro.session.Session`
+    query (use a session directly to reuse sampled worlds and published
+    substrates across queries).  For a fixed ``seed`` (or seeded
+    MC/LP/RSS ``sampler``) the result is **byte-identical** for every
+    ``workers`` value and equal to :func:`repro.core.mpds.top_k_mpds`
+    with the same arguments -- the blocks evaluate slices of one world
+    store and merge through the sequential accumulation code (see the
+    module docstring for the full determinism contract).
+    ``workers="auto"`` (default) sizes the fan-out to the host's usable
+    cores (:func:`resolve_workers`) -- a 1-core host runs sequentially;
+    ``workers=1`` evaluates in-process.
     """
     from ..session import Session
 
-    return (
-        Session(graph, engine=engine, cache_worlds=False)
-        .query()
-        .sampler(sampler, theta=theta, seed=seed)
-        .measure(measure)
-        .top_k(k)
-        .workers(workers)
-        .enumerate_all(enumerate_all)
-        .per_world_limit(per_world_limit)
-        .mpds()
-    )
-
-
-def _parallel_mpds_impl(
-    graph: UncertainGraph,
-    k: int,
-    theta: int,
-    measure: Optional[DensityMeasure],
-    sampler,
-    seed: Optional[int],
-    workers: int,
-    enumerate_all: bool,
-    per_world_limit: Optional[int],
-    engine: str,
-) -> MPDSResult:
-    """One-shot fan-out: plan, publish, dispatch, merge, unlink."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    measure = measure or EdgeDensity()
-    plan = None
-    if workers > 1:
-        plan = _plan_run(graph, theta, sampler, seed)
-    if plan is None:
-        return top_k_mpds(
-            graph,
-            k=k,
-            theta=theta,
-            measure=measure,
-            sampler=sampler,
-            seed=seed,
-            enumerate_all=enumerate_all,
-            per_world_limit=per_world_limit,
-            engine=engine,
+    with Session(graph, engine=engine) as session:
+        return (
+            session.query()
+            .sampler(sampler, theta=theta, seed=seed)
+            .measure(measure)
+            .top_k(k)
+            .workers(workers)
+            .enumerate_all(enumerate_all)
+            .per_world_limit(per_world_limit)
+            .mpds()
         )
-    outputs = _run_blocks(
-        plan,
-        workers,
-        "mpds",
-        measure,
-        _resolve_eval_engine(engine, sampler, measure),
-        enumerate_all,
-        per_world_limit,
-    )
-    _replay_truncated(plan, outputs, measure, per_world_limit)
-    return merge_mpds_blocks(plan.blocks, plan.weights, outputs, k)
 
 
 def parallel_top_k_nds(
@@ -848,72 +592,25 @@ def parallel_top_k_nds(
 ) -> NDSResult:
     """Algorithm 5 fanned out over the shared-memory substrate.
 
-    Thin shim over a one-shot :class:`repro.session.Session` query.
-    Workers return their blocks' per-world maximum-sized densest
-    subgraphs; the parent reassembles the transaction stream in grid
-    order, re-runs the sequential accumulation and mines the merged
-    database once -- byte-identical to
+    Thin shim over a closing one-shot :class:`repro.session.Session`
+    query.  Workers return their blocks' per-world maximum-sized
+    densest subgraphs; the parent reassembles the transaction stream in
+    grid order, re-runs the sequential accumulation and mines the
+    merged database once -- byte-identical to
     :func:`repro.core.nds.top_k_nds` for a fixed seed, for every
     ``workers`` value.  ``workers="auto"`` (default) sizes the fan-out
     to the host's usable cores (:func:`resolve_workers`);
-    ``workers=1`` short-circuits to the sequential estimator.
+    ``workers=1`` evaluates in-process.
     """
     from ..session import Session
 
-    return (
-        Session(graph, engine=engine, cache_worlds=False)
-        .query()
-        .sampler(sampler, theta=theta, seed=seed)
-        .measure(measure)
-        .top_k(k)
-        .min_size(min_size)
-        .workers(workers)
-        .nds()
-    )
-
-
-def _parallel_nds_impl(
-    graph: UncertainGraph,
-    k: int,
-    min_size: int,
-    theta: int,
-    measure: Optional[DensityMeasure],
-    sampler,
-    seed: Optional[int],
-    workers: int,
-    engine: str,
-) -> NDSResult:
-    """One-shot fan-out: plan, publish, dispatch, merge, unlink."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if min_size < 1:
-        raise ValueError(f"min_size (l_m) must be >= 1, got {min_size}")
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    measure = measure or EdgeDensity()
-    plan = None
-    if workers > 1:
-        plan = _plan_run(graph, theta, sampler, seed)
-    if plan is None:
-        return top_k_nds(
-            graph,
-            k=k,
-            min_size=min_size,
-            theta=theta,
-            measure=measure,
-            sampler=sampler,
-            seed=seed,
-            engine=engine,
+    with Session(graph, engine=engine) as session:
+        return (
+            session.query()
+            .sampler(sampler, theta=theta, seed=seed)
+            .measure(measure)
+            .top_k(k)
+            .min_size(min_size)
+            .workers(workers)
+            .nds()
         )
-    outputs = _run_blocks(
-        plan,
-        workers,
-        "nds",
-        measure,
-        _resolve_eval_engine(engine, sampler, measure),
-        True,
-        None,
-    )
-    return merge_nds_blocks(plan.blocks, plan.weights, outputs, k, min_size)

@@ -22,9 +22,8 @@ Column-substream determinism contract
 A dynamic store's column for edge ``(u, v)`` is a pure function of
 ``(root seed, canonical edge labels, theta, p)`` -- never of the edge's
 *position* or of any other edge.  The substream is derived with the
-same ``SeedSequence``-spawn idiom the parallel substrate uses for block
-seeds (:func:`repro.engine.blocks.derive_block_seeds`), applied per
-edge: the spawn key is a 64-bit BLAKE2b digest of the canonical label
+``numpy.random.SeedSequence`` spawn-key idiom, applied per edge: the
+spawn key is a 64-bit BLAKE2b digest of the canonical label
 pair (stable across processes and across insertions/deletions that
 shift edge *indices*; ``hash()`` would vary with ``PYTHONHASHSEED``).
 Consequences, which the step-wise differential tier
@@ -41,11 +40,11 @@ randomized update schedule:
   edge order, so delete round-trips restore columns up to position).
 
 Dynamic draws are a distinct sampling scheme: they are deterministic
-and engine-invariant like the legacy draws, but **not** byte-identical
-to the continuous-stream one-shot estimators (whose single RNG stream
-makes single-column surgery impossible by construction).  ``mc`` and
-``lp`` are delta-capable; ``rss`` stratifies on the global edge set and
-is not -- legacy (non-dynamic) stores of any kind are evicted on
+and engine-invariant like the continuous-stream draws, but **not**
+byte-identical to them (a single RNG stream makes single-column
+surgery impossible by construction).  ``mc`` and ``lp`` are
+delta-capable; ``rss`` stratifies on the global edge set and is not --
+continuous-stream (non-dynamic) stores of any kind are evicted on
 update and re-drawn on demand.
 
 Insertion-order contract: a dynamic ``lp`` store's per-world insertion
@@ -160,7 +159,6 @@ def draw_dynamic_store(
     kind: str = "mc",
     theta: int = 160,
     seed: Optional[int] = None,
-    packed: bool = True,
     memory_budget: Optional[int] = None,
 ):
     """Draw a from-scratch *dynamic* world store, column by column.
@@ -203,8 +201,8 @@ def draw_dynamic_store(
         order_data, order_indptr = _orders_from_rows(iter(masks), theta)
     return WorldStore(
         indexed, masks, weights, order_data, order_indptr,
-        kind=kind, theta=theta, seed=seed, packed=packed,
-        memory_budget=memory_budget, dynamic=True,
+        kind=kind, theta=theta, seed=seed, memory_budget=memory_budget,
+        dynamic=True,
     )
 
 

@@ -68,13 +68,7 @@ part of the fast path's contract) and counted in the result's
 ``replayed_worlds``, so even truncated candidate subsets match exactly.
 """
 
-from .blocks import (
-    DEFAULT_BLOCKS,
-    derive_block_seeds,
-    drain_mask_stream,
-    mc_block_masks,
-    plan_blocks,
-)
+from .blocks import DEFAULT_BLOCKS, drain_mask_stream, plan_blocks
 from .indexed import IndexedGraph, MaskWorld, SubWorldView
 from .shm import attach_arrays, close_attachment, pack_arrays
 from .kernels import (
@@ -98,8 +92,8 @@ from .estimators import (
     ENGINES,
     VECTOR_ENGINES,
     EngineMeasure,
+    is_replayable,
     measure_core_k,
-    prepare_world_stream,
     primed_world_stream,
     resolve_engine,
     vectorized_sampler,
@@ -107,9 +101,7 @@ from .estimators import (
 
 __all__ = [
     "DEFAULT_BLOCKS",
-    "derive_block_seeds",
     "drain_mask_stream",
-    "mc_block_masks",
     "plan_blocks",
     "attach_arrays",
     "close_attachment",
@@ -135,8 +127,8 @@ __all__ = [
     "ENGINES",
     "VECTOR_ENGINES",
     "EngineMeasure",
+    "is_replayable",
     "measure_core_k",
-    "prepare_world_stream",
     "primed_world_stream",
     "resolve_engine",
     "vectorized_sampler",

@@ -229,7 +229,7 @@ class PackedMasks:
             )
         self.words = words
         self.m = m
-        #: (generation, block_lo, unpacked_rows) of the most recently
+        #: (generation, block_lo, boolean rows) of the most recently
         #: touched block; stale the moment the generation moves on
         self._cache: Optional[Tuple[int, int, np.ndarray]] = None
         self._generation = 0

@@ -1,27 +1,20 @@
-"""Fixed chunk grid + block-level sampling entry points for the fan-out.
+"""Fixed chunk grid + the stream drain that fills a world store.
 
-The parallel substrate shards the ``theta`` sampled worlds over a *chunk
-grid*: contiguous fixed-size blocks whose boundaries depend only on the
-world count (:func:`plan_blocks`), never on the worker count.  Workers
-claim whole blocks and the parent merges per-block results in block
-order, which is what makes estimates invariant to ``workers``.
+The parallel substrate shards a world store's sampled worlds over a
+*chunk grid*: contiguous fixed-size blocks whose boundaries depend only
+on the world count (:func:`plan_blocks`), never on the worker count.
+Workers claim whole blocks and the parent merges per-block results in
+block order, which is what makes estimates invariant to ``workers``.
+The memory-budget pager of :mod:`repro.engine.worldstore` spills along
+the same grid.
 
-Two ways of producing a block's worlds are supported:
-
-* **Stream pre-partitioning** (seeded runs): the parent drives one of
-  the vectorised samplers through its *continuous* RNG stream exactly as
-  the sequential estimator would (:func:`drain_mask_stream`) and slices
-  the resulting mask / insertion-order / weight arrays along the grid.
-  Every block then holds the byte-identical worlds the sequential run
-  evaluates, for Monte Carlo as well as Lazy Propagation (whose
-  geometric-jump stream cannot be split mid-flight) and Recursive
-  Stratified Sampling (whose stratum trial streams span blocks).
-* **Block-seeded sampling** (unseeded Monte Carlo runs): each block gets
-  its own decorrelated seed from :func:`derive_block_seeds`
-  (``numpy.random.SeedSequence.spawn``) and the worker draws the block's
-  trial matrix itself (:func:`mc_block_masks`), so the parent does no
-  sampling work at all.  Block seeds are fixed per call, so results are
-  still invariant to the worker count within that call.
+Every store is filled by :func:`drain_mask_stream`: one of the
+vectorised samplers is driven through its *continuous* RNG stream and
+the resulting mask / insertion-order / weight arrays are kept in stream
+order.  Every block of the grid then holds the byte-identical worlds a
+sequential run evaluates, for Monte Carlo as well as Lazy Propagation
+(whose geometric-jump stream cannot be split mid-flight) and Recursive
+Stratified Sampling (whose stratum trial streams span blocks).
 """
 
 from __future__ import annotations
@@ -60,36 +53,6 @@ def plan_blocks(
     ]
 
 
-def derive_block_seeds(seed: Optional[int], count: int) -> List[int]:
-    """Derive ``count`` decorrelated per-block seeds from one root seed.
-
-    Uses ``numpy.random.SeedSequence(seed).spawn(count)``: every child
-    sequence carries a distinct spawn key hashed into its state, so the
-    derived streams are independent by construction and two *different*
-    root seeds (e.g. adjacent integers) never map onto each other's
-    block seeds -- unlike the previous ad-hoc splitmix-style affine
-    derivation, whose lanes for seed ``s`` could collide with the lanes
-    of nearby seeds.  ``seed=None`` draws fresh OS entropy for the root.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    root = np.random.SeedSequence(seed)
-    return [
-        int(child.generate_state(1, np.uint64)[0]) for child in root.spawn(count)
-    ]
-
-
-def mc_block_masks(indexed, block_seed: int, size: int) -> np.ndarray:
-    """Draw one block's Monte Carlo worlds from its derived seed.
-
-    The block-seeded batch entry point used by workers in unseeded runs:
-    ``size`` worlds as a ``(size, m)`` boolean matrix, drawn by a
-    :class:`VectorizedMonteCarloSampler` seeded with ``block_seed`` over
-    the (typically shared-memory attached) ``indexed`` graph.
-    """
-    return VectorizedMonteCarloSampler(indexed, block_seed).edge_masks(size)
-
-
 def drain_mask_stream(
     sampler, theta: int
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -107,9 +70,9 @@ def drain_mask_stream(
 
     ``T`` is the *actual* world count (RSS may emit slightly more or
     fewer than ``theta``); the chunk grid must be planned over ``T``.
-    Draining advances the sampler's RNG exactly as the sequential
-    estimator's world loop would, so the arrays are byte-identical to
-    what that loop evaluates.
+    Draining advances the sampler's RNG exactly as drawing ``theta``
+    worlds one by one would, so the arrays are byte-identical to the
+    worlds the sampler itself produces.
     """
     if isinstance(sampler, VectorizedMonteCarloSampler):
         masks = sampler.edge_masks(theta)

@@ -123,9 +123,7 @@ def resolve_engine(engine: str, sampler, measure: DensityMeasure) -> str:
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    replayable = sampler is None or (
-        type(sampler) in _VECTORIZABLE_SAMPLERS
-    )
+    replayable = is_replayable(sampler)
     if engine == "python":
         return "python"
     if engine in ("vectorized", "jit"):
@@ -140,6 +138,16 @@ def resolve_engine(engine: str, sampler, measure: DensityMeasure) -> str:
     if replayable and type(measure) in _FAST_MEASURES:
         return "jit" if HAVE_NUMBA else "vectorized"
     return "python"
+
+
+def is_replayable(sampler) -> bool:
+    """Whether the vectorised twins replay ``sampler``'s stream exactly.
+
+    ``None`` (the default Monte Carlo) and the three paper samplers or
+    their twins qualify; the match is on the exact type, because a
+    subclass may override ``worlds`` with semantics no twin knows.
+    """
+    return sampler is None or type(sampler) in _VECTORIZABLE_SAMPLERS
 
 
 def vectorized_sampler(graph, sampler, seed: Optional[int]):
@@ -208,40 +216,6 @@ def primed_world_stream(
         )
         engine_measure.stage_seconds["bound"] += perf_counter() - started
         yield from buffered
-
-
-def prepare_world_stream(
-    graph,
-    theta: int,
-    measure: DensityMeasure,
-    sampler,
-    seed: Optional[int],
-    engine: str,
-):
-    """Resolve the engine and build one estimator run's collaborators.
-
-    The single entry point the sampling estimators (Algorithms 1 and 5 in
-    :mod:`repro.core.mpds` / :mod:`repro.core.nds`) use to set up their
-    ``(world, weight)`` loop.  Returns ``(worlds, loop_measure,
-    engine_measure)``: on the vectorised path ``worlds`` yields
-    :class:`MaskWorld` views (batch-primed chunk by chunk through
-    :func:`primed_world_stream`) and ``loop_measure`` is an
-    :class:`EngineMeasure` (also returned as ``engine_measure`` for
-    bookkeeping access); on the python path ``worlds`` yields
-    materialised :class:`Graph` worlds, ``loop_measure`` is the plain
-    measure and ``engine_measure`` is ``None``.
-    """
-    resolved = resolve_engine(engine, sampler, measure)
-    if resolved in VECTOR_ENGINES:
-        worlds = vectorized_sampler(graph, sampler, seed).mask_worlds(theta)
-        engine_measure = EngineMeasure(measure, tier=resolved)
-        return (
-            primed_world_stream(worlds, engine_measure),
-            engine_measure,
-            engine_measure,
-        )
-    sampler = sampler or MonteCarloSampler(graph, seed)
-    return sampler.worlds(theta), measure, None
 
 
 def measure_core_k(measure: DensityMeasure) -> Optional[int]:

@@ -30,7 +30,7 @@ Lifecycle contract
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Dict, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -95,43 +95,30 @@ def attach_arrays(
     return shm, out
 
 
-def mask_payload(masks) -> Dict[str, np.ndarray]:
-    """Describe a world-mask matrix as a publishable array bundle.
+def mask_payload(masks: "PackedMasks") -> Dict[str, np.ndarray]:
+    """Describe a packed world-mask matrix as a publishable array bundle.
 
-    Packed matrices (:class:`repro.engine.bitset.PackedMasks`) publish
-    their uint64 words plus the logical bit width -- 8x less shared
-    memory than the historical boolean byte matrix, which still
-    publishes as a plain ``"masks"`` array.  The inverse is
-    :func:`masks_from_payload`; round-tripping either representation is
-    lossless, so workers replay byte-identical worlds.
+    A :class:`repro.engine.bitset.PackedMasks` publishes its uint64
+    words plus the logical bit width -- 8x less shared memory than a
+    boolean byte matrix.  The inverse is :func:`masks_from_payload`;
+    the round trip is lossless, so workers replay byte-identical worlds.
+    """
+    return {
+        "packed_masks": masks.words,
+        "mask_bits": np.array([masks.m], dtype=np.int64),
+    }
+
+
+def masks_from_payload(arrays: Mapping[str, np.ndarray]) -> "PackedMasks":
+    """Rebuild the mask matrix a :func:`mask_payload` bundle describes.
+
+    Attached words are wrapped zero-copy (the
+    :class:`~repro.engine.bitset.PackedMasks` view reads the shared
+    segment in place and unpacks rows lazily at the replay boundary).
     """
     from .bitset import PackedMasks
 
-    if isinstance(masks, PackedMasks):
-        return {
-            "packed_masks": masks.words,
-            "mask_bits": np.array([masks.m], dtype=np.int64),
-        }
-    return {"masks": np.asarray(masks)}
-
-
-def masks_from_payload(
-    arrays: Mapping[str, np.ndarray]
-) -> Union[np.ndarray, "PackedMasks"]:
-    """Rebuild the mask matrix a :func:`mask_payload` bundle describes.
-
-    Attached packed words are wrapped zero-copy (the
-    :class:`~repro.engine.bitset.PackedMasks` view reads the shared
-    segment in place and unpacks rows lazily at the replay boundary);
-    boolean bundles return the attached ``"masks"`` view directly.
-    """
-    if "packed_masks" in arrays:
-        from .bitset import PackedMasks
-
-        return PackedMasks(
-            arrays["packed_masks"], int(arrays["mask_bits"][0])
-        )
-    return arrays["masks"]
+    return PackedMasks(arrays["packed_masks"], int(arrays["mask_bits"][0]))
 
 
 def close_attachment(shm: shared_memory.SharedMemory, *views) -> None:

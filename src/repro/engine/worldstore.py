@@ -3,23 +3,23 @@
 The sampling estimators (Algorithms 1 and 5) share one expensive phase:
 drawing ``theta`` possible worlds.  A :class:`WorldStore` captures one
 such draw as flat arrays -- the world-mask matrix, the ``(T,)``
-estimator weights, and the LP/RSS per-world edge insertion orders --
-exactly the representation the parallel substrate already ships to
-workers (:func:`repro.engine.blocks.drain_mask_stream`).  The store can
-then be *replayed* any number of times, by any query (MPDS or NDS, any
-``k`` / ``min_size`` / measure / engine / worker count), without
-touching a sampler again.
+estimator weights, and the LP/RSS per-world edge insertion orders, as
+drained by :func:`repro.engine.blocks.drain_mask_stream`.  Every query
+evaluates a store: cached ones are *replayed* any number of times, by
+any query (MPDS or NDS, any ``k`` / ``min_size`` / measure / engine /
+worker count), without touching a sampler again, and one-off draws
+live in a transient store for the length of one query.
 
 Packed substrate
 ----------------
-By default the mask matrix is held **bit-packed**
+The mask matrix is held **bit-packed**
 (:class:`repro.engine.bitset.PackedMasks`: uint64 words, 8x less memory
 than the boolean ``(T, m)`` byte matrix) and unpacked lazily, one world
 row at a time, only at the python-replay boundary --
 :class:`MaskWorld` construction and ``world_graph`` materialisation.
-``packed=False`` keeps the historical byte matrix (the differential
-harness ``tests/test_bitset_differential.py`` pins both
-representations byte-identical cell by cell).
+:attr:`WorldStore.masks` materialises the boolean matrix for oracles
+(``tests/test_bitset_differential.py`` pins the packed store against
+the sampler's boolean drain cell by cell).
 
 An explicit ``memory_budget`` (bytes) additionally caps the *resident*
 packed mask blocks: the rows are sharded over the same fixed <=64-block
@@ -36,7 +36,7 @@ budget is asserted against.
 Byte-identity contract
 ----------------------
 :meth:`world_stream` rebuilds, world by world, the very objects the
-one-shot estimators would have evaluated for the same seed:
+originating sampler would have produced for the same seed:
 
 * vectorised engines get fresh :class:`MaskWorld` views over the stored
   mask rows (with the original insertion orders attached);
@@ -45,13 +45,12 @@ one-shot estimators would have evaluated for the same seed:
   originating sampler.
 
 Since the stored arrays are drained from the sampler's *continuous* RNG
-stream (the same drain the parallel substrate uses, whose
-worker-count-invariance tests pin this replay), estimates computed from
-a store are **byte-identical** to the equivalent one-shot
+stream, estimates computed from a store are **byte-identical** for
+every engine and worker count, and equal to the equivalent one-shot
 ``top_k_mpds`` / ``top_k_nds`` call -- the property
 ``tests/test_session_differential.py`` asserts cell by cell -- and
-packing / budgeting never enters the contract: a packed or budgeted
-store replays the same bytes an unpacked resident store replays.
+budgeting never enters the contract: a budgeted store replays the same
+bytes a resident store replays.
 
 *Dynamic* stores (``dynamic=True``, drawn by
 :func:`repro.delta.draw_dynamic_store`) trade the continuous-stream
@@ -72,9 +71,6 @@ import numpy as np
 from ..sampling.base import WeightedWorld
 from .bitset import PackedMasks
 from .indexed import IndexedGraph, MaskWorld
-
-#: world-mask storage: the packed words or the historical byte matrix
-MaskMatrix = Union[PackedMasks, np.ndarray]
 
 
 class _MaskPager:
@@ -215,7 +211,11 @@ class _MaskPager:
 
 
 class WorldStore:
-    """One draw of sampled worlds, held as replayable flat arrays."""
+    """One draw of sampled worlds, held as replayable flat arrays.
+
+    ``masks`` is a boolean ``(T, m)`` matrix (packed on the way in) or
+    an already packed :class:`PackedMasks`.
+    """
 
     __slots__ = (
         "indexed", "weights", "order_data", "order_indptr",
@@ -226,14 +226,13 @@ class WorldStore:
     def __init__(
         self,
         indexed: IndexedGraph,
-        masks: MaskMatrix,
+        masks: Union[PackedMasks, np.ndarray],
         weights: np.ndarray,
         order_data: Optional[np.ndarray],
         order_indptr: Optional[np.ndarray],
         kind: str = "mc",
         theta: Optional[int] = None,
         seed: Optional[int] = None,
-        packed: Optional[bool] = None,
         memory_budget: Optional[int] = None,
         dynamic: bool = False,
     ) -> None:
@@ -246,29 +245,29 @@ class WorldStore:
         self.seed = seed
         self.memory_budget = memory_budget
         self.dynamic = bool(dynamic)
-        if packed is None:
-            packed = not isinstance(masks, np.ndarray)
-        if packed and isinstance(masks, np.ndarray):
-            masks = PackedMasks.from_bool(masks)
-        elif not packed and isinstance(masks, PackedMasks):
-            masks = masks.to_bool()
-        self._masks: MaskMatrix = masks
+        self._masks: Optional[PackedMasks] = None
         self._pager: Optional[_MaskPager] = None
-        if memory_budget is not None:
-            if not isinstance(masks, PackedMasks):
-                raise ValueError(
-                    "memory_budget requires a packed store "
-                    "(packed=False holds the full byte matrix resident)"
-                )
-            if len(weights) > 0 and self.indexed.m > 0:
-                from .blocks import plan_blocks
+        self._hold(masks)
 
-                self._pager = _MaskPager(
-                    masks, plan_blocks(len(weights)), memory_budget
-                )
-                # the full word matrix is dropped: from here on at most
-                # `memory_budget` bytes of mask blocks are resident
-                self._masks = None
+    def _hold(self, masks) -> None:
+        """Pack ``masks`` and keep them resident, or page them out
+        when the store has a ``memory_budget``."""
+        if isinstance(masks, np.ndarray):
+            masks = PackedMasks.from_bool(masks)
+        self._masks = masks
+        if (
+            self.memory_budget is not None
+            and self.count > 0
+            and self.indexed.m > 0
+        ):
+            from .blocks import plan_blocks
+
+            self._pager = _MaskPager(
+                masks, plan_blocks(self.count), self.memory_budget
+            )
+            # the full word matrix is dropped: from here on at most
+            # `memory_budget` bytes of mask blocks are resident
+            self._masks = None
 
     # ------------------------------------------------------------------
     # construction
@@ -280,7 +279,6 @@ class WorldStore:
         theta: int,
         kind: str = "mc",
         seed: Optional[int] = None,
-        packed: bool = True,
         memory_budget: Optional[int] = None,
     ) -> "WorldStore":
         """Drain a vectorised sampler's continuous stream into a store."""
@@ -291,8 +289,7 @@ class WorldStore:
         )
         return cls(
             sampler.indexed, masks, weights, order_data, order_indptr,
-            kind=kind, theta=theta, seed=seed, packed=packed,
-            memory_budget=memory_budget,
+            kind=kind, theta=theta, seed=seed, memory_budget=memory_budget,
         )
 
     @classmethod
@@ -302,20 +299,20 @@ class WorldStore:
         sampler,
         theta: int,
         seed: Optional[int] = None,
-        packed: bool = True,
         memory_budget: Optional[int] = None,
     ) -> "WorldStore":
         """Drain a pure-Python (or vectorised) sampler via its twin.
 
-        ``sampler=None`` replicates ``MonteCarloSampler(graph, seed)``,
-        exactly as the one-shot estimators do.
+        ``sampler=None`` replicates ``MonteCarloSampler(graph, seed)``.
+        A pure-Python sampler is adopted mid-stream, so its RNG advances
+        exactly as if it had drawn the ``theta`` worlds itself.
         """
         from .estimators import vectorized_sampler
 
         vec = vectorized_sampler(graph, sampler, seed)
         kind = getattr(sampler, "name", None) or "mc"
         return cls.from_vectorized(
-            vec, theta, kind=str(kind).lower(), seed=seed, packed=packed,
+            vec, theta, kind=str(kind).lower(), seed=seed,
             memory_budget=memory_budget,
         )
 
@@ -328,32 +325,21 @@ class WorldStore:
         return len(self.weights)
 
     @property
-    def packed(self) -> bool:
-        """Whether the mask matrix is held as uint64 words."""
-        return self._pager is not None or isinstance(
-            self._masks, PackedMasks
-        )
-
-    @property
     def masks(self) -> np.ndarray:
-        """The boolean ``(T, m)`` mask matrix (compat / oracle boundary).
+        """The boolean ``(T, m)`` mask matrix (the oracle boundary).
 
-        For a packed store this *materialises* a fresh byte matrix --
-        use :meth:`mask_row` / the replay iterators on hot paths.
+        This *materialises* a fresh byte matrix -- use :meth:`mask_row`
+        / the replay iterators on hot paths.
         """
-        matrix = self.mask_matrix()
-        if isinstance(matrix, PackedMasks):
-            return matrix.to_bool()
-        return matrix
+        return self.mask_matrix().to_bool()
 
-    def mask_matrix(self) -> MaskMatrix:
-        """The stored mask matrix: :class:`PackedMasks` or a byte matrix.
+    def mask_matrix(self) -> PackedMasks:
+        """The stored :class:`PackedMasks` (``matrix[i]`` -> boolean row).
 
-        Both support ``matrix[i]`` -> boolean row, which is all the
-        replay and fan-out paths need.  A budgeted store re-assembles
-        one full (packed) matrix here -- the entry point shared-memory
-        publication uses, documented as outside the residency budget
-        (the segment is shared across processes, not store-resident).
+        A budgeted store re-assembles one full matrix here -- the entry
+        point shared-memory publication uses, documented as outside the
+        residency budget (the segment is shared across processes, not
+        store-resident).
         """
         if self._pager is not None:
             pager = self._pager
@@ -368,8 +354,8 @@ class WorldStore:
 
     @property
     def mask_nbytes(self) -> int:
-        """Resident bytes of the mask representation (packed counts words,
-        a budgeted store counts its currently resident blocks)."""
+        """Resident bytes of the mask words (a budgeted store counts
+        its currently resident blocks)."""
         if self._pager is not None:
             return self._pager.resident_bytes
         return self._masks.nbytes
@@ -420,10 +406,9 @@ class WorldStore:
         """Overwrite edge ``j``'s outcome column; return flipped worlds.
 
         The probability-update fast path: one ``(T,)`` boolean column
-        is written in place -- directly for an unpacked store, via
-        single-word surgery for a packed one
+        is written in place -- via single-word surgery
         (:meth:`PackedMasks.set_column`, which also invalidates its row
-        cache), and block by block through the pager for a budgeted
+        cache), or block by block through the pager for a budgeted
         store (each block is loaded, patched and written through, so
         residency never exceeds the budget).  Returns the indices of
         the worlds whose bit actually changed -- the evaluation-cache
@@ -460,13 +445,7 @@ class WorldStore:
             if not flipped:
                 return np.zeros(0, dtype=np.int64)
             return np.concatenate(flipped)
-        if isinstance(self._masks, PackedMasks):
-            old = self._masks.set_column(j, column)
-        else:
-            if not self._masks.flags.writeable:
-                self._masks = self._masks.copy()
-            old = self._masks[:, j].copy()
-            self._masks[:, j] = column
+        old = self._masks.set_column(j, column)
         return np.flatnonzero(old != column)
 
     def rebuild_orders(self) -> None:
@@ -504,7 +483,7 @@ class WorldStore:
         Insertions and deletions change the mask width, which in-place
         word surgery cannot express; the caller rebuilds the boolean
         matrix and this method re-packs / re-pages it under the store's
-        own representation and budget, closing the previous spill file.
+        own budget, closing the previous spill file.
         """
         masks = np.asarray(masks)
         if masks.dtype != np.bool_:
@@ -514,29 +493,13 @@ class WorldStore:
                 f"replacement masks must have shape "
                 f"({self.count}, {indexed.m}), got {masks.shape}"
             )
-        was_packed = self.packed
         if self._pager is not None:
             self._pager.close()
             self._pager = None
         self.indexed = indexed
         self.order_data = order_data
         self.order_indptr = order_indptr
-        if not was_packed:
-            self._masks = masks
-            return
-        packed = PackedMasks.from_bool(masks)
-        self._masks = packed
-        if (
-            self.memory_budget is not None
-            and self.count > 0
-            and indexed.m > 0
-        ):
-            from .blocks import plan_blocks
-
-            self._pager = _MaskPager(
-                packed, plan_blocks(self.count), self.memory_budget
-            )
-            self._masks = None
+        self._hold(masks)
 
     # ------------------------------------------------------------------
     # replay
@@ -610,12 +573,14 @@ class WorldStore:
     ) -> Tuple:
         """Build one query's ``(worlds, loop_measure, engine_measure)``.
 
-        The store-backed twin of
-        :func:`repro.engine.estimators.prepare_world_stream`: resolves
-        the engine for ``measure`` (stored streams are always
+        Resolves the engine for ``measure`` (stored streams are always
         replayable, so only the measure matters) and returns the world
-        iterator plus the measure the estimator loop should query.
-        ``subset`` replays only those world indices.
+        iterator plus the measure the estimator loop should query:
+        batch-primed :class:`MaskWorld` views and an
+        :class:`EngineMeasure` on the vector engines, materialised
+        :class:`Graph` worlds and the plain measure (``engine_measure``
+        ``None``) on the python engine.  ``subset`` replays only those
+        world indices.
         """
         from .estimators import (
             VECTOR_ENGINES,
@@ -640,7 +605,8 @@ class WorldStore:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the spill file of a budgeted store (idempotent)."""
+        """Release the spill file of a budgeted store (idempotent; a
+        resident store holds nothing beyond its arrays)."""
         if self._pager is not None:
             self._pager.close()
 
@@ -653,6 +619,5 @@ class WorldStore:
         dynamic = ", dynamic=True" if self.dynamic else ""
         return (
             f"WorldStore(kind={self.kind!r}, worlds={self.count}, "
-            f"m={self.indexed.m}, seed={self.seed!r}, "
-            f"packed={self.packed}{budget}{dynamic})"
+            f"m={self.indexed.m}, seed={self.seed!r}{budget}{dynamic})"
         )

@@ -29,11 +29,12 @@ caching dies with the process, so every CLI call re-pays the draw.
   the listener, and closes every session (releasing world stores and
   published shared-memory segments).
 
-Rollout follows the legacy/shadow facade idiom: the daemon path stands
-*next to* the one-shot functions, and ``shadow_rate`` re-executes a
-deterministic fraction of served queries through the legacy one-shot
-path, asserting byte-identity continuously in production
-(``shadow_checks`` / ``shadow_mismatches`` in ``/stats``).
+Shadow checks: ``shadow_rate`` re-executes a deterministic fraction of
+served seeded queries as one-shot ``top_k_mpds`` / ``top_k_nds`` calls,
+which draw their worlds afresh in a closing session, and compares the
+served answer -- often replayed from cached records -- byte-for-byte,
+asserting continuously in production that the caches never drift from
+a fresh draw (``shadow_checks`` / ``shadow_mismatches`` in ``/stats``).
 
 HTTP surface (all JSON)::
 
@@ -63,8 +64,8 @@ not rejected), in-flight ones drain, the session updates surgically
 ``"dynamic": true`` draw per-edge-substream stores that survive
 updates with only the affected mask columns re-drawn; their responses
 after an update are byte-identical to a fresh dynamic session on the
-mutated graph (shadow checks are skipped for them -- the legacy
-one-shot twin differs by design).
+mutated graph (shadow checks are skipped for them -- the one-shot
+functions draw continuous-stream worlds, which differ by design).
 
 Start it with ``repro-serve`` (or ``python -m repro.serve``)::
 
@@ -546,9 +547,9 @@ class ReproServer:
         sizes to the host; on a 1-core host that resolves to a
         sequential run).
     shadow_rate:
-        Fraction (0..1) of served seeded queries re-executed through the
-        legacy one-shot functions and compared byte-for-byte -- the
-        shadow rollout check.  Deterministic (an accumulator, not a
+        Fraction (0..1) of served seeded queries re-executed on a fresh
+        draw through the one-shot functions and compared
+        byte-for-byte -- the shadow check.  Deterministic (an accumulator, not a
         coin), so ``shadow_rate=1.0`` checks every query.
     heavy_cost:
         ``theta * |E|`` admission threshold for pool routing.
@@ -564,7 +565,6 @@ class ReproServer:
         workers: Union[int, str] = "auto",
         shadow_rate: float = 0.0,
         heavy_cost: int = DEFAULT_HEAVY_COST,
-        packed: bool = True,
         quiet: bool = True,
     ) -> None:
         if not 0.0 <= float(shadow_rate) <= 1.0:
@@ -572,7 +572,6 @@ class ReproServer:
                 f"shadow_rate must be in [0, 1], got {shadow_rate!r}"
             )
         self.engine = engine
-        self.packed = packed
         self.quiet = quiet
         self.shadow_rate = float(shadow_rate)
         self._shadow_acc = 0.0
@@ -700,7 +699,7 @@ class ReproServer:
                 source = "upload:graph"
         except (TypeError, ValueError) as exc:
             raise _HTTPError(400, str(exc))
-        session = Session(graph, engine=self.engine, packed=self.packed)
+        session = Session(graph, engine=self.engine)
         with self._lock:
             if name in self._graphs:
                 session.close()
@@ -911,9 +910,7 @@ class ReproServer:
 
         session = entry.session
         store_key = (
-            sampler_store_key(
-                kind, params, theta, seed, session.packed, dynamic
-            )
+            sampler_store_key(kind, params, theta, seed, dynamic)
             if seed is not None
             else None
         )
@@ -962,8 +959,8 @@ class ReproServer:
             "elapsed_ms": elapsed_ms,
             "result": result.to_dict(),
         }
-        # dynamic draws are a distinct sampling scheme: the legacy
-        # one-shot twin differs by design, so shadowing is skipped
+        # dynamic draws are a distinct sampling scheme: the one-shot
+        # twin draws continuous-stream worlds, so shadowing is skipped
         shadow = (
             None
             if dynamic
@@ -981,12 +978,14 @@ class ReproServer:
         self, entry, mode, kind, params, theta, seed, measure_spec, body,
         engine, result,
     ) -> Optional[dict]:
-        """Re-run a deterministic fraction of seeded queries through the
-        legacy one-shot path and compare byte-for-byte.
+        """Re-run a deterministic fraction of seeded queries on a fresh
+        draw and compare byte-for-byte.
 
-        The daemon path is a rollout next to ``top_k_mpds`` /
-        ``top_k_nds``; this is the continuous in-production check that
-        the two stay byte-identical (the facade's shadow mode).
+        The served result may be replayed from the session's cached
+        store and records; the twin is a one-shot ``top_k_mpds`` /
+        ``top_k_nds`` call that samples the same seed afresh in its own
+        closing session.  A mismatch means a cache drifted from the
+        draw it claims to hold.
         """
         if self.shadow_rate <= 0.0 or seed is None:
             return None

@@ -2,11 +2,8 @@
 
 The estimators' dominant serving workload is many queries -- different
 ``k``, ``min_size``, measure, MPDS vs NDS, worker counts -- against the
-*same* uncertain graph.  The free functions (``top_k_mpds`` and
-friends) rebuild everything per call: the :class:`IndexedGraph`/CSR
-index, the shared-memory segments, the worker pool hand-off, and --
-dominating all of it -- the ``theta`` sampled possible worlds.  A
-:class:`Session` owns those substrates once:
+*same* uncertain graph.  A :class:`Session` owns the substrates those
+queries share:
 
 * the **indexed graph** (endpoint/probability arrays + cached CSR),
   built on first use and shared by every query and every world store;
@@ -39,23 +36,35 @@ Sampler and measure arguments accept registry spec strings
 (:mod:`repro.specs`: ``"mc:theta=160"``, ``"lp"``, ``"clique:h=3"``),
 plain instances, or ``None`` for the defaults.
 
+One pipeline
+------------
+Every query draws its worlds into a bit-packed :class:`WorldStore` and
+evaluates that store into per-world records -- in-process, or over the
+published chunk-grid fan-out when ``workers > 1`` -- before the
+finalize stage ranks them (MPDS) or mines them (NDS).  Seeded spec
+draws are cached in the session.  Unseeded draws and MC/LP/RSS
+sampler *instances* (adopted mid-stream through
+:func:`repro.engine.estimators.vectorized_sampler`, so the instance's
+RNG advances exactly as if it had drawn the worlds itself) get a
+*transient* store, closed -- with any segment it published -- when the
+query ends.  Only a custom sampler type the engine cannot replay feeds
+its own ``worlds(theta)`` stream, through the same evaluate and
+finalize functions (python engine, in-process only).
+
 Byte-identity contract
 ----------------------
 A warm query's estimates are **byte-identical** to the equivalent
 one-shot ``top_k_mpds`` / ``top_k_nds`` / ``parallel_top_k_*`` call
 with the same seed: the store is drained from the sampler's continuous
-RNG stream exactly as the parallel substrate pre-partitions it, and
-replayed worlds rebuild the very objects the one-shot loop would have
-evaluated (``tests/test_session_differential.py`` pins every
+RNG stream and replayed worlds rebuild the very objects a sampler would
+have produced (``tests/test_session_differential.py`` pins every
 sampler x measure x engine x workers cell).  The free functions are
-themselves thin shims over a one-shot session (``cache_worlds=False``),
-so there is exactly one implementation to trust.
+themselves thin shims over a closing one-shot session, so there is
+exactly one implementation to trust.
 
 Unseeded queries (``seed=None``) resample on every execution -- the
 store cache is *seed-keyed* by design; give the sampler a seed to share
-worlds across queries.  User-constructed sampler *instances* carry
-mutable RNG state, so they stream exactly as the legacy functions did
-instead of populating the cache.
+worlds across queries.
 
 Dynamic graphs: :meth:`Session.update` applies a
 :class:`repro.delta.GraphDelta` to the session's graph in place.
@@ -63,7 +72,7 @@ Queries marked :meth:`Query.dynamic` draw per-edge-substream stores
 (:mod:`repro.delta`) that updates maintain *surgically* -- only the
 affected mask columns are re-drawn, and only the evaluation-cache
 records of worlds that actually flipped are re-computed (lazily, on
-the next query).  Legacy continuous-stream stores cannot be maintained
+the next query).  Continuous-stream stores cannot be maintained
 column-wise (one RNG stream spans all edges), so an update evicts them
 along with their evaluations; they re-draw on demand.
 """
@@ -75,18 +84,12 @@ import weakref
 from typing import Dict, List, Optional, Tuple, Union
 
 from .core.measures import DensityMeasure, EdgeDensity
-from .core.mpds import evaluate_store_mpds, evaluate_worlds, finalize_mpds
-from .core.nds import (
-    accumulate_transactions,
-    evaluate_store_transactions,
-    evaluate_transactions,
-    finalize_nds,
-)
+from .core.mpds import evaluate_worlds, finalize_mpds
+from .core.nds import accumulate_transactions, evaluate_transactions, finalize_nds
 from .core.results import MPDSResult, NDSResult
 from .graph.uncertain import UncertainGraph
 from .specs import (
     build_measure,
-    build_sampler,
     check_int_knob,
     parse_sampler_spec,
     sampler_store_key,
@@ -206,21 +209,12 @@ class Session:
     workers:
         Default worker count for queries (``1`` = sequential,
         ``"auto"`` = host-sized fan-out, or an explicit count).
-    cache_worlds:
-        When ``False`` the session is *one-shot*: no world store or
-        published segment survives the query.  This is the mode the
-        legacy free functions run in -- it keeps their memory profile
-        (streaming, never holding all worlds) and their exact behavior.
-    packed:
-        Default mask representation for this session's world stores:
-        ``True`` (default) holds bit-packed uint64 words (8x less
-        memory, published as 8x smaller segments), ``False`` the
-        historical boolean byte matrix.  Both replay byte-identical
-        estimates; per-store overrides go through
-        :meth:`world_store`/:meth:`Query.packed`.  Packed and unpacked
-        draws are cached (and counted in :attr:`stats`) separately, so
-        a mixed session never replays one representation through the
-        other's code path.
+
+    World stores hold bit-packed uint64 mask words (8x less memory than
+    a boolean byte matrix, published as 8x smaller segments).  A
+    one-shot caller uses the session as a context manager
+    (``with Session(graph) as s:``) so every store and segment is
+    released when the block ends.
 
     Memory model: the caches grow with query *diversity* and are never
     evicted -- every distinct seeded ``(sampler, theta, seed)`` draw
@@ -238,14 +232,10 @@ class Session:
         graph: UncertainGraph,
         engine: str = "auto",
         workers: Union[int, str] = 1,
-        cache_worlds: bool = True,
-        packed: bool = True,
     ) -> None:
         self.graph = graph
         self.engine = engine
         self.workers = workers
-        self.cache_worlds = cache_worlds
-        self.packed = packed
         self._indexed = None
         #: guards every cache, the stats dict and the in-flight tables;
         #: never held while sampling or evaluating worlds (single-flight
@@ -274,13 +264,6 @@ class Session:
             "worlds_evaluated": 0,
             "eval_hits": 0,
             "plans_published": 0,
-            # per-representation splits of stores_built / store_hits:
-            # packed and unpacked draws are cached separately, and these
-            # counters keep the ledger honest about which is which
-            "packed_stores_built": 0,
-            "unpacked_stores_built": 0,
-            "packed_store_hits": 0,
-            "unpacked_store_hits": 0,
             # admission/coalescing ledger: arrivals that waited on an
             # in-flight identical draw / evaluation instead of redoing it
             # (single-flight -- the serving tier's batching counters)
@@ -301,7 +284,8 @@ class Session:
             # did (columns re-drawn in place, worlds whose edge sets
             # flipped), and what it cost the caches (evaluations marked
             # stale or dropped, stale entries patched lazily, worlds
-            # re-evaluated during patching, legacy stores evicted)
+            # re-evaluated during patching, continuous-stream stores
+            # evicted)
             "graph_updates": 0,
             "dynamic_stores_built": 0,
             "stores_updated": 0,
@@ -367,7 +351,6 @@ class Session:
         sampler: str = "mc",
         theta: int = 160,
         seed: Optional[int] = None,
-        packed: Optional[bool] = None,
         dynamic: bool = False,
         **params,
     ):
@@ -376,11 +359,10 @@ class Session:
         ``sampler`` is a registry spec (``"mc"``, ``"lp"``,
         ``"rss:r=4"``; a ``theta=``/``seed=`` carried in the spec
         overrides the keyword).  Seeded draws are cached under
-        ``(kind, params, theta, seed, packed, dynamic)``; unseeded
-        draws are sampled fresh each call (the cache is seed-keyed by
-        design).  ``packed`` overrides the session's default mask
-        representation for this draw; packed and unpacked draws never
-        share a cache line.  ``dynamic=True`` draws the per-edge
+        ``(kind, params, theta, seed, dynamic)``; unseeded draws are
+        sampled fresh each call (the cache is seed-keyed by design) and
+        belong to the caller, who closes them.  ``dynamic=True`` draws
+        the per-edge
         substream twin (:mod:`repro.delta`) that
         :meth:`Session.update` maintains surgically.
         """
@@ -396,9 +378,7 @@ class Session:
         theta = check_int_knob(context, "theta", theta, positive=True)
         if dynamic:
             _check_dynamic_draw(kind, spec_params, seed)
-        return self._store_for(
-            kind, spec_params, theta, seed, packed, dynamic
-        )
+        return self._store_for(kind, spec_params, theta, seed, dynamic)
 
     def _store_for(
         self,
@@ -406,33 +386,26 @@ class Session:
         params: dict,
         theta: int,
         seed: Optional[int],
-        packed: Optional[bool] = None,
         dynamic: bool = False,
     ):
         """Return the cached store for a draw -- **single-flight**.
 
         Concurrent requests for the *same* ``(kind, params, theta,
-        seed, packed)`` draw coalesce: the first arrival (the leader)
+        seed, dynamic)`` draw coalesce: the first arrival (the leader)
         samples, later arrivals wait on its in-flight event and then
         take the cache hit (counted in ``stats["store_waits"]``)
         instead of resampling.  Distinct draws never wait on each other
         -- the session lock is held only for cache/table bookkeeping,
         never while sampling.
         """
-        packed = self.packed if packed is None else bool(packed)
-        rep = "packed" if packed else "unpacked"
-        key = sampler_store_key(kind, params, theta, seed, packed, dynamic)
-        cacheable = self.cache_worlds and seed is not None
-        if not cacheable:
-            return self._draw_store(
-                kind, params, theta, seed, packed, rep, dynamic
-            )
+        if seed is None:
+            return self._draw_store(kind, params, theta, seed, dynamic)
+        key = sampler_store_key(kind, params, theta, seed, dynamic)
         while True:
             with self._lock:
                 store = self._stores.get(key)
                 if store is not None:
                     self.stats["store_hits"] += 1
-                    self.stats[f"{rep}_store_hits"] += 1
                     return store
                 flight = self._store_flights.get(key)
                 if flight is None:
@@ -449,9 +422,7 @@ class Session:
                 flight.wait()
                 continue
             try:
-                store = self._draw_store(
-                    kind, params, theta, seed, packed, rep, dynamic
-                )
+                store = self._draw_store(kind, params, theta, seed, dynamic)
                 with self._lock:
                     self._stores[key] = store
                 return store
@@ -460,8 +431,7 @@ class Session:
                     self._store_flights.pop(key, None)
                 flight.set()
 
-    def _draw_store(self, kind, params, theta, seed, packed, rep,
-                    dynamic=False):
+    def _draw_store(self, kind, params, theta, seed, dynamic=False):
         """Sample one draw into a fresh store (counts it in stats)."""
         from .engine.worldstore import WorldStore
 
@@ -469,17 +439,13 @@ class Session:
             from .delta import draw_dynamic_store
 
             store = draw_dynamic_store(
-                self.indexed, kind=kind, theta=theta, seed=seed,
-                packed=packed,
+                self.indexed, kind=kind, theta=theta, seed=seed
             )
         else:
             vec = _vector_sampler(kind, self.indexed, seed, params)
-            store = WorldStore.from_vectorized(
-                vec, theta, kind=kind, seed=seed, packed=packed
-            )
+            store = WorldStore.from_vectorized(vec, theta, kind=kind, seed=seed)
         with self._lock:
             self.stats["stores_built"] += 1
-            self.stats[f"{rep}_stores_built"] += 1
             if dynamic:
                 self.stats["dynamic_stores_built"] += 1
             self.stats["worlds_sampled"] += store.count
@@ -496,17 +462,25 @@ class Session:
                 self._published_segments.append(self._graph_segment)
             return self._graph_segment
 
-    def _published_plan(self, key: Tuple, plan):
-        """Publish a store's fan-out arrays once; reuse across queries."""
+    def _published_plan(self, key: Optional[Tuple], store):
+        """Publish a store's fan-out arrays once; reuse across queries.
+
+        ``key=None`` marks a transient store: its plan is never cached
+        and the caller closes it once the dispatch ends.  A store drawn
+        over a foreign index (a sampler instance built on another
+        graph) publishes its own graph payload with it.
+        """
         from .core.parallel import PublishedPlan
 
-        graph_segment = self._published_graph()
+        graph_segment = (
+            self._published_graph() if store.indexed is self.indexed else None
+        )
         with self._lock:
             published = self._published.get(key)
             if published is None:
-                published = PublishedPlan.publish(plan, graph=graph_segment)
+                published = PublishedPlan.publish(store, graph=graph_segment)
                 self.stats["plans_published"] += 1
-                if self.cache_worlds:
+                if key is not None:
                     self._published[key] = published
                     self._published_segments.append(published)
             return published
@@ -529,9 +503,9 @@ class Session:
           world granularity: entries are marked stale with their dirty
           world set and re-evaluated lazily on the next hit (only the
           flipped worlds replay);
-        * **legacy stores** (continuous-stream draws) cannot be
-          maintained column-wise, so they are evicted with their
-          evaluations and re-drawn on demand;
+        * **continuous-stream stores** cannot be maintained
+          column-wise, so they are evicted with their evaluations and
+          re-drawn on demand;
         * published shared-memory segments describe pre-update arrays
           and are unlinked (warm fan-outs republish).
 
@@ -700,7 +674,6 @@ class Query:
         self._workers: Optional[Union[int, str]] = None
         self._enumerate_all = True
         self._per_world_limit: Optional[int] = 100_000
-        self._packed: Optional[bool] = None
         self._dynamic = False
 
     # ------------------------------------------------------------------
@@ -720,9 +693,11 @@ class Query:
         (``"mc"``, ``"lp"``, ``"rss:r=4"``); ``theta=``/``seed=`` may
         ride in the spec or as keywords (the spec wins on conflict,
         matching :meth:`Session.world_store` and the CLI flags).
-        ``None`` keeps the default Monte Carlo.  A :class:`WorldSampler` *instance*
-        streams exactly as the legacy functions did (its mutable RNG
-        state cannot be cached).
+        ``None`` keeps the default Monte Carlo.  A :class:`WorldSampler`
+        *instance* carries mutable RNG state, so its draw is never
+        cached: an MC/LP/RSS instance is adopted into a transient store
+        (its RNG advances exactly as if it had drawn the worlds), and a
+        custom sampler type streams ``worlds(theta)`` in-process.
         """
         if sampler is None:
             self._sampler_instance = None
@@ -850,22 +825,15 @@ class Query:
         self._per_world_limit = limit
         return self
 
-    def packed(self, packed: bool) -> "Query":
-        """Override the session's mask representation for this query's
-        draw (``True`` = bit-packed words, ``False`` = boolean bytes).
-        Estimates are byte-identical either way; only memory and the
-        store-cache line change."""
-        self._packed = packed
-        return self
-
     def dynamic(self, dynamic: bool = True) -> "Query":
         """Draw this query's worlds from per-edge seed-keyed substreams.
 
         Dynamic draws (:mod:`repro.delta`) survive
         :meth:`Session.update` surgically -- a probability update
         re-draws one mask column instead of evicting the store.  They
-        are deterministic and engine/worker-invariant like the legacy
-        draws, but **not** byte-identical to the one-shot estimators
+        are deterministic and engine/worker-invariant like the
+        continuous-stream draws, but **not** byte-identical to the
+        one-shot estimators
         (a continuous RNG stream cannot be maintained column-wise).
         Requires an explicit seed; ``mc``/``lp`` kinds only.
         """
@@ -903,19 +871,15 @@ class Query:
         workers_requested = self._workers
         if workers_requested is None and session.workers != 1:
             workers_requested = session.workers
+        workers = 1
         if workers_requested is not None:
-            # parallel-path validations, matching the legacy wrappers
             from .core.parallel import resolve_workers
 
-            if theta <= 0:
-                raise ValueError(f"theta must be positive, got {theta}")
             workers = resolve_workers(workers_requested)
             if workers < 1:
                 raise ValueError(
                     f"workers must be >= 1, got {workers_requested}"
                 )
-        else:
-            workers = 1
 
         session._bump("queries")
         if self._dynamic:
@@ -927,30 +891,37 @@ class Query:
             _check_dynamic_draw(
                 self._sampler_kind, self._sampler_params, self._seed
             )
-        storeable = (
-            self._sampler_instance is None
-            and self._seed is not None
-            and (session.cache_worlds or self._dynamic)
-            and theta > 0
-            and session.indexed.m > 0
-        )
+        if theta == 1:
+            # a one-world grid cannot fan out: evaluate in-process
+            workers = 1
+        from .engine.estimators import is_replayable, resolve_engine
 
-        if workers > 1 and not storeable:
-            return self._legacy_parallel(mode, measure, engine, theta,
-                                         workers)
-        if storeable:
-            # theta == 1 parallel requests fall through to the in-process
-            # evaluation inside _store_execute (the grid cannot help), the
-            # same fallback the one-shot wrappers take before any RNG use
-            return self._store_execute(
-                mode, measure, engine, theta,
-                workers if theta != 1 else 1,
+        instance = self._sampler_instance
+        if not is_replayable(instance):
+            return self._custom_execute(mode, measure, engine, theta, workers)
+        resolved = resolve_engine(engine, None, measure)
+        if instance is None and self._seed is not None:
+            return self._cached_execute(mode, measure, resolved, theta,
+                                        workers)
+        store = self._transient_store(theta)
+        try:
+            records, replayed = self._records(
+                mode, store, None, measure, resolved, workers
             )
-        return self._stream_sequential(mode, measure, engine, theta)
+        finally:
+            store.close()
+        return self._finalize(mode, records, replayed)
 
-    # -- store-backed path ---------------------------------------------
-    def _store_execute(self, mode, measure, engine, theta, workers):
-        """Serve a query from the session caches, filling them on miss.
+    def _knobs(self, mode: str) -> Tuple[bool, Optional[int]]:
+        """``(enumerate_all, per_world_limit)`` as the evaluation uses
+        them: NDS ignores both, so it keys and ships the neutral pair."""
+        if mode == "mpds":
+            return self._enumerate_all, self._per_world_limit
+        return True, None
+
+    def _cached_execute(self, mode, measure, resolved, theta, workers):
+        """Serve a seeded spec query from the session caches, filling
+        them on miss.
 
         Layered reuse: an evaluation-cache hit replays the per-world
         records straight through finalize (no sampling, no world
@@ -963,34 +934,49 @@ class Query:
         (``stats["eval_waits"]``), so a burst of identical requests
         costs one evaluation, not N.
         """
-        from .engine.estimators import resolve_engine
-
         session = self._session
-        packed = (
-            session.packed if self._packed is None else bool(self._packed)
-        )
         skey = sampler_store_key(
             self._sampler_kind, self._sampler_params, theta, self._seed,
-            packed, self._dynamic,
+            self._dynamic,
         )
-        resolved = resolve_engine(engine, None, measure)
-        enumerate_all = self._enumerate_all if mode == "mpds" else True
-        per_world_limit = self._per_world_limit if mode == "mpds" else None
-        # one-shot sessions (cache_worlds=False, reachable via dynamic
-        # queries) must not pin records across calls
-        mkey = _measure_key(measure) if session.cache_worlds else None
+        mkey = _measure_key(measure)
         ekey = (
             None
             if mkey is None
-            else (mode, skey, mkey, resolved, enumerate_all, per_world_limit)
+            else (mode, skey, mkey, resolved) + self._knobs(mode)
         )
-        if ekey is None:
-            records, replayed = self._compute_records(
-                mode, skey, measure, resolved, enumerate_all,
-                per_world_limit, workers, packed, theta,
+
+        def evaluate(stale: Optional[_StaleEval]):
+            store = session._store_for(
+                self._sampler_kind, self._sampler_params, theta, self._seed,
+                self._dynamic,
             )
-            session._bump("worlds_evaluated", len(records))
-            return self._finalize(mode, records, replayed)
+            if stale is None:
+                records, replayed = self._records(
+                    mode, store, skey, measure, resolved, workers
+                )
+                session._bump("worlds_evaluated", len(records))
+                return records, replayed
+            # per-world records make the splice exact: unflipped worlds
+            # keep their pre-update records and the dirty subset replays
+            # through the same seams a full pass uses.  A stale entry
+            # always has replayed == 0 (truncated ones are dropped on
+            # update), so the subset's replay count is the new total.
+            dirty = sorted(stale.dirty)
+            fresh, replayed = self._records(
+                mode, store, skey, measure, resolved, 1, subset=dirty
+            )
+            records = list(stale.records)
+            for index, record in zip(dirty, fresh):
+                records[index] = record
+            with session._lock:
+                session.stats["evals_patched"] += 1
+                session.stats["worlds_reevaluated"] += len(dirty)
+                session.stats["worlds_evaluated"] += len(dirty)
+            return records, replayed
+
+        if ekey is None:
+            return self._finalize(mode, *evaluate(None))
         while True:
             with session._lock:
                 cached = session._eval_cache.get(ekey)
@@ -1011,17 +997,7 @@ class Query:
                 flight.wait()
                 continue
             try:
-                if stale is not None:
-                    records, replayed = self._patch_records(
-                        mode, stale, measure, resolved, enumerate_all,
-                        per_world_limit, packed, theta,
-                    )
-                else:
-                    records, replayed = self._compute_records(
-                        mode, skey, measure, resolved, enumerate_all,
-                        per_world_limit, workers, packed, theta,
-                    )
-                    session._bump("worlds_evaluated", len(records))
+                records, replayed = evaluate(stale)
                 with session._lock:
                     session._eval_cache[ekey] = (records, replayed)
                 break
@@ -1031,124 +1007,113 @@ class Query:
                 flight.set()
         return self._finalize(mode, records, replayed)
 
-    def _patch_records(
-        self, mode, stale, measure, resolved, enumerate_all,
-        per_world_limit, packed, theta,
-    ):
-        """Re-evaluate a stale entry's dirty worlds and splice them in.
+    def _transient_store(self, theta: int):
+        """Draw an uncached store: an unseeded spec draw, or an MC/LP/RSS
+        sampler instance adopted mid-stream (its RNG and bookkeeping
+        advance exactly as if it had drawn the worlds itself)."""
+        from .engine.worldstore import WorldStore
 
-        Per-world records make the splice exact: unflipped worlds keep
-        their pre-update records (their edge sets did not change) and
-        the dirty subset replays through the very same evaluation seams
-        a full pass uses, so the patched list is byte-identical to
-        re-evaluating the whole store.  A stale entry always has
-        ``replayed == 0`` (truncated ones are dropped on update), so
-        the fresh subset's replay count is the new total.
-        """
         session = self._session
-        store = session._store_for(
-            self._sampler_kind, self._sampler_params, theta, self._seed,
-            packed, self._dynamic,
-        )
-        dirty = sorted(stale.dirty)
-        worlds, loop_measure, engine_measure = store.world_stream(
-            measure, resolved, subset=dirty
-        )
-        if mode == "mpds":
-            fresh = list(
-                evaluate_worlds(
-                    worlds, loop_measure, enumerate_all, per_world_limit
-                )
+        instance = self._sampler_instance
+        if instance is None:
+            vec = _vector_sampler(
+                self._sampler_kind, session.indexed, None,
+                self._sampler_params,
             )
-            replayed = (
-                engine_measure.replayed_worlds if engine_measure else 0
+            store = WorldStore.from_vectorized(
+                vec, theta, kind=self._sampler_kind
             )
         else:
-            fresh = list(evaluate_transactions(worlds, loop_measure))
+            store = WorldStore.from_sampler(session.graph, instance, theta)
+        # uncached draw: count it so session stats stay truthful
+        session._bump("worlds_sampled", store.count)
+        return store
+
+    def _custom_execute(self, mode, measure, engine, theta, workers):
+        """Evaluate a custom (non-replayable) sampler's own world stream.
+
+        The engine cannot replay such a sampler into a store, so its
+        ``worlds(theta)`` feed the same evaluate -> finalize functions
+        in-process on the python engine; the fan-out, which ships
+        stored worlds to its workers, cannot take it.
+        """
+        from .engine.estimators import resolve_engine
+
+        instance = self._sampler_instance
+        if workers > 1:
+            raise ValueError(
+                "the parallel substrate shards the MC, LP and RSS "
+                "sampling streams only; no vectorised twin for sampler "
+                f"{type(instance).__name__}"
+            )
+        # raises for the vector engines, which replay MC/LP/RSS only
+        resolve_engine(engine, instance, measure)
+        records, replayed = self._evaluate(
+            mode, instance.worlds(theta), measure, None
+        )
+        self._session._bump("worlds_sampled", len(records))
+        return self._finalize(mode, records, replayed)
+
+    def _records(self, mode, store, skey, measure, resolved, workers,
+                 subset=None):
+        """Evaluate a store (or only its ``subset`` worlds) into
+        per-world records: over the published fan-out when
+        ``workers > 1``, else in-process."""
+        if workers > 1 and subset is None:
+            return self._dispatch_records(
+                mode, store, skey, measure, resolved, workers
+            )
+        return self._evaluate(
+            mode, *store.world_stream(measure, resolved, subset=subset)
+        )
+
+    def _evaluate(self, mode, worlds, loop_measure, engine_measure):
+        """Evaluate a world stream in-process into ``(records,
+        replayed)`` through the :mod:`repro.core` evaluation seams."""
+        if mode == "mpds":
+            records = list(
+                evaluate_worlds(worlds, loop_measure, *self._knobs(mode))
+            )
+            # read after the stream is consumed: the engine counts
+            # replays as it evaluates
+            replayed = engine_measure.replayed_worlds if engine_measure else 0
+        else:
+            records = list(evaluate_transactions(worlds, loop_measure))
             replayed = 0
         if engine_measure is not None:
-            session._absorb_stage_stats(engine_measure.stage_stats())
-        records = list(stale.records)
-        for index, record in zip(dirty, fresh):
-            records[index] = record
-        with session._lock:
-            session.stats["evals_patched"] += 1
-            session.stats["worlds_reevaluated"] += len(dirty)
-            session.stats["worlds_evaluated"] += len(dirty)
+            self._session._absorb_stage_stats(engine_measure.stage_stats())
         return records, replayed
 
-    def _compute_records(
-        self, mode, skey, measure, resolved, enumerate_all,
-        per_world_limit, workers, packed, theta,
-    ):
-        """Fetch the draw (coalesced) and evaluate it into records."""
-        store = self._session._store_for(
-            self._sampler_kind, self._sampler_params, theta, self._seed,
-            packed, self._dynamic,
-        )
-        if workers > 1:
-            return self._dispatch_records(
-                mode, store, skey, measure, resolved,
-                enumerate_all, per_world_limit, workers,
-            )
-        return self._evaluate_records(
-            mode, store, measure, resolved, enumerate_all, per_world_limit
-        )
-
-    def _evaluate_records(
-        self, mode, store, measure, resolved, enumerate_all, per_world_limit
-    ):
-        """Evaluate the store's worlds in-process into per-world records,
-        through the same :mod:`repro.core` seams ``mpds_from_store`` /
-        ``nds_from_store`` run on."""
-        stage: dict = {}
-        if mode == "mpds":
-            out = evaluate_store_mpds(
-                store, measure, resolved, enumerate_all, per_world_limit,
-                stage_stats=stage,
-            )
-        else:
-            out = (
-                evaluate_store_transactions(
-                    store, measure, resolved, stage_stats=stage
-                ),
-                0,
-            )
-        self._session._absorb_stage_stats(stage)
-        return out
-
-    def _dispatch_records(
-        self, mode, store, skey, measure, resolved, enumerate_all,
-        per_world_limit, workers,
-    ):
+    def _dispatch_records(self, mode, store, skey, measure, resolved,
+                          workers):
         """Evaluate the store's worlds over the published fan-out.
 
         Returns the grid-ordered per-world records -- exactly the
-        stream the sequential evaluation produces, so both fill the
-        same evaluation cache and finalize identically.
+        stream the in-process evaluation produces, so both fill the
+        same evaluation cache and finalize identically.  A transient
+        store (``skey=None``) unlinks its segment when the dispatch
+        ends, successful or not.
         """
         from .core.parallel import (
             _records_in_grid_order,
             _replay_truncated,
             dispatch_blocks,
-            plan_from_store,
         )
+        from .engine.blocks import plan_blocks
 
-        session = self._session
-        plan = plan_from_store(store)
-        published = session._published_plan(skey, plan)
+        published = self._session._published_plan(skey, store)
         try:
             outputs = dispatch_blocks(
-                plan, published, workers, mode, measure, resolved,
-                enumerate_all, per_world_limit,
+                store, published, workers, mode, measure, resolved,
+                *self._knobs(mode),
             )
         finally:
-            if not session.cache_worlds:  # pragma: no cover - defensive
+            if skey is None:
                 published.close()
         if mode == "mpds":
-            _replay_truncated(plan, outputs, measure, per_world_limit)
+            _replay_truncated(store, outputs, measure, self._per_world_limit)
         ordered, replayed = _records_in_grid_order(
-            plan.blocks, plan.weights, outputs
+            plan_blocks(store.count), store.weights, outputs
         )
         return list(ordered), (sum(replayed) if mode == "mpds" else 0)
 
@@ -1165,81 +1130,6 @@ class Query:
             transactions, weights, total_weight, actual_theta,
             self._k, self._min_size,
         )
-
-    # -- streaming paths (the legacy one-shot code) --------------------
-    def _build_sampler_instance(self):
-        """The sampler the legacy streaming paths should see.
-
-        ``None`` for plain Monte Carlo (the estimators build their own
-        from the seed, preserving the unseeded block-seeded parallel
-        path); a fresh registry instance for LP/RSS kinds, exactly as
-        the CLI always constructed them.
-        """
-        if self._sampler_instance is not None:
-            return self._sampler_instance
-        if self._sampler_kind == "mc" and not self._sampler_params:
-            return None
-        return build_sampler(
-            self._sampler_kind,
-            self._session.graph,
-            self._seed,
-            **self._sampler_params,
-        )
-
-    def _legacy_parallel(self, mode, measure, engine, theta, workers):
-        from .core.parallel import _parallel_mpds_impl, _parallel_nds_impl
-
-        sampler = self._build_sampler_instance()
-        if mode == "mpds":
-            result = _parallel_mpds_impl(
-                self._session.graph, self._k, theta, measure, sampler,
-                self._seed, workers, self._enumerate_all,
-                self._per_world_limit, engine,
-            )
-        else:
-            result = _parallel_nds_impl(
-                self._session.graph, self._k, self._min_size, theta, measure,
-                sampler, self._seed, workers, engine,
-            )
-        # uncached draw: count it so session stats stay truthful
-        self._session._bump("worlds_sampled", result.theta)
-        return result
-
-    def _stream_sequential(self, mode, measure, engine, theta):
-        from .engine.estimators import prepare_world_stream
-
-        sampler = self._build_sampler_instance()
-        worlds, loop_measure, engine_measure = prepare_world_stream(
-            self._session.graph, theta, measure, sampler, self._seed, engine
-        )
-        if mode == "mpds":
-            result = finalize_mpds(
-                evaluate_worlds(
-                    worlds, loop_measure, self._enumerate_all,
-                    self._per_world_limit,
-                ),
-                self._k,
-            )
-            # read after the stream is fully consumed: the engine counts
-            # replays as it evaluates
-            result.replayed_worlds = (
-                engine_measure.replayed_worlds if engine_measure else 0
-            )
-        else:
-            transactions, weights, total_weight, actual_theta = (
-                accumulate_transactions(
-                    evaluate_transactions(worlds, loop_measure)
-                )
-            )
-            result = finalize_nds(
-                transactions, weights, total_weight, actual_theta,
-                self._k, self._min_size,
-            )
-        # uncached draw: count it so session stats stay truthful
-        self._session._bump("worlds_sampled", result.theta)
-        if engine_measure is not None:
-            self._session._absorb_stage_stats(engine_measure.stage_stats())
-        return result
 
     def __repr__(self) -> str:
         sampler = (

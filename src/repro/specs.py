@@ -179,22 +179,16 @@ def sampler_store_key(
     params: SpecParams,
     theta: int,
     seed: Optional[int],
-    packed: bool = True,
     dynamic: bool = False,
 ) -> Tuple:
     """Canonical world-store cache key for a (sampler, theta, seed) draw.
 
-    ``packed`` names the store's mask representation (bit-packed uint64
-    words vs the boolean byte matrix).  Both replay byte-identical
-    worlds, but they are distinct objects with distinct memory
-    profiles, so a mixed session must never hand a query built for one
-    representation the other -- the key keeps them apart.  ``dynamic``
-    keys the per-edge-substream draws (:mod:`repro.delta`) apart from
-    the legacy continuous-stream draws: same kind/theta/seed, different
-    bytes by design.
+    ``dynamic`` keys the per-edge-substream draws (:mod:`repro.delta`)
+    apart from the continuous-stream draws: same kind/theta/seed,
+    different bytes by design.
     """
     return (kind, tuple(sorted(params.items())), int(theta), seed,
-            bool(packed), bool(dynamic))
+            bool(dynamic))
 
 
 # ----------------------------------------------------------------------

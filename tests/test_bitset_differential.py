@@ -1,15 +1,14 @@
-"""Packed-vs-unpacked differential gate for the world substrate.
+"""Packed-store differential gate against the sampler's boolean drain.
 
 The bit-packed :class:`WorldStore` (uint64 words, lazy per-row
-unpacking) and the historical boolean byte store must be
-**byte-identical** at every observable seam: the mask rows themselves,
-the LP/RSS insertion-order replays, full estimates across every
-(sampler x measure x engine x workers) cell, truncated
-``per_world_limit`` runs, and the memory-budgeted spill/stream path --
-whose peak resident bytes must also stay inside the stated budget at
-every step.  A final spy-based regression pins the Session fix: packed
-and unpacked draws occupy distinct cache lines and counters, so a mixed
-session never replays one representation through the other's code path.
+unpacking) must be **byte-identical** to its oracle -- the boolean
+``(T, m)`` matrix, weights and insertion orders that
+:func:`repro.engine.blocks.drain_mask_stream` draws from the same
+sampler -- at every observable seam: the mask rows themselves, the
+LP/RSS insertion-order replays, full estimates across every (sampler x
+measure x engine x workers) cell, truncated ``per_world_limit`` runs,
+and the memory-budgeted spill/stream path -- whose peak resident bytes
+must also stay inside the stated budget at every step.
 """
 
 from __future__ import annotations
@@ -19,12 +18,24 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.mpds import mpds_from_store, top_k_mpds
-from repro.core.nds import nds_from_store, top_k_nds
+from repro.core.mpds import evaluate_worlds, finalize_mpds, mpds_from_store
+from repro.core.mpds import top_k_mpds
+from repro.core.nds import accumulate_transactions, evaluate_transactions
+from repro.core.nds import finalize_nds, nds_from_store
 from repro.core.parallel import shutdown_pool
 from repro.engine.bitset import PackedMasks
+from repro.engine.blocks import drain_mask_stream
+from repro.engine.estimators import (
+    VECTOR_ENGINES,
+    EngineMeasure,
+    primed_world_stream,
+    resolve_engine,
+    vectorized_sampler,
+)
+from repro.engine.indexed import MaskWorld
 from repro.engine.worldstore import WorldStore
 from repro.sampling import SAMPLERS
+from repro.sampling.base import WeightedWorld
 from repro.session import Session
 from repro.specs import build_measure
 
@@ -50,24 +61,88 @@ def _teardown_pool():
     shutdown_pool()
 
 
+def _sampler(graph, kind):
+    return None if kind == "mc" else SAMPLERS[kind.upper()](graph, SEED)
+
+
+class Drain:
+    """The boolean oracle: the sampler's stream drained into plain
+    arrays, replayed world by world without any packing."""
+
+    def __init__(self, graph, kind):
+        vec = vectorized_sampler(graph, _sampler(graph, kind), SEED)
+        self.indexed = vec.indexed
+        (self.masks, self.weights, self.order_data,
+         self.order_indptr) = drain_mask_stream(vec, THETA)
+        self.count = len(self.weights)
+
+    def mask_row(self, i):
+        return self.masks[i]
+
+    def order(self, i):
+        if self.order_data is None:
+            return None
+        return self.order_data[self.order_indptr[i]:self.order_indptr[i + 1]]
+
+    def mask_worlds(self):
+        for i in range(self.count):
+            yield WeightedWorld(
+                MaskWorld(self.indexed, self.masks[i], self.order(i)),
+                float(self.weights[i]),
+            )
+
+    def graph_worlds(self):
+        for i in range(self.count):
+            yield WeightedWorld(
+                self.indexed.world_graph(self.masks[i], self.order(i)),
+                float(self.weights[i]),
+            )
+
+    def _stream(self, measure, engine):
+        resolved = resolve_engine(engine, None, measure)
+        if resolved in VECTOR_ENGINES:
+            engine_measure = EngineMeasure(measure, tier=resolved)
+            return (
+                primed_world_stream(self.mask_worlds(), engine_measure),
+                engine_measure, engine_measure,
+            )
+        return self.graph_worlds(), measure, None
+
+    def mpds(self, k, measure=None, engine="auto", per_world_limit=100_000):
+        worlds, loop_measure, engine_measure = self._stream(
+            measure or build_measure("edge"), engine
+        )
+        result = finalize_mpds(
+            evaluate_worlds(worlds, loop_measure, True, per_world_limit), k
+        )
+        result.replayed_worlds = (
+            engine_measure.replayed_worlds if engine_measure else 0
+        )
+        return result
+
+    def nds(self, k, min_size):
+        worlds, loop_measure, _ = self._stream(build_measure("edge"), "auto")
+        return finalize_nds(
+            *accumulate_transactions(
+                evaluate_transactions(worlds, loop_measure)
+            ),
+            k, min_size,
+        )
+
+
 def _stores(graph, kind, **kwargs):
-    """The same draw held packed and unpacked (twin stores)."""
-    sampler = None if kind == "mc" else SAMPLERS[kind.upper()](graph, SEED)
-    unpacked = WorldStore.from_sampler(
-        graph, sampler, THETA, seed=SEED, packed=False
-    )
-    sampler = None if kind == "mc" else SAMPLERS[kind.upper()](graph, SEED)
+    """The boolean drain oracle and the packed store of the same draw."""
     packed = WorldStore.from_sampler(
-        graph, sampler, THETA, seed=SEED, packed=True, **kwargs
+        graph, _sampler(graph, kind), THETA, seed=SEED, **kwargs
     )
-    return unpacked, packed
+    return Drain(graph, kind), packed
 
 
 class TestStoreByteIdentity:
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     def test_mask_rows_byte_identical(self, graph, kind):
         unpacked, packed = _stores(graph, kind)
-        assert not unpacked.packed and packed.packed
+        assert unpacked.masks.dtype == np.bool_
         assert isinstance(packed.mask_matrix(), PackedMasks)
         np.testing.assert_array_equal(packed.masks, unpacked.masks)
         for i in range(unpacked.count):
@@ -96,9 +171,8 @@ class TestStoreByteIdentity:
         unpacked, packed = _stores(graph, kind)
         for spec in MEASURE_SPECS:
             for engine in ENGINES:
-                reference = mpds_from_store(
-                    unpacked, k=3, measure=build_measure(spec),
-                    engine=engine,
+                reference = unpacked.mpds(
+                    3, measure=build_measure(spec), engine=engine
                 )
                 result = mpds_from_store(
                     packed, k=3, measure=build_measure(spec), engine=engine,
@@ -106,38 +180,31 @@ class TestStoreByteIdentity:
                 assert result == reference, (
                     f"cell ({kind}, {spec}, {engine}) diverged"
                 )
-        assert nds_from_store(packed, k=2, min_size=2) == nds_from_store(
-            unpacked, k=2, min_size=2
-        )
+        assert nds_from_store(packed, k=2, min_size=2) == unpacked.nds(2, 2)
 
     @pytest.mark.parametrize("kind", SAMPLER_KINDS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_session_cells_match_one_shot(self, graph, kind, workers):
-        """A packed-store session query equals the one-shot estimator
-        (which never builds a store at all) on every cell."""
-        sampler = (
-            None if kind == "mc" else SAMPLERS[kind.upper()](graph, SEED)
-        )
+        """A session query equals the one-shot estimator (a sampler
+        instance adopted into a transient store) and the boolean drain
+        on every cell."""
         reference = top_k_mpds(
-            graph, k=3, theta=THETA, sampler=sampler, seed=SEED
+            graph, k=3, theta=THETA, sampler=_sampler(graph, kind), seed=SEED
         )
-        for packed in (True, False):
-            with Session(graph, packed=packed) as session:
-                result = (
-                    session.query().sampler(kind, theta=THETA, seed=SEED)
-                    .top_k(3).workers(workers).mpds()
-                )
-            assert result == reference, (
-                f"cell ({kind}, packed={packed}, workers={workers}) "
-                "diverged"
+        assert reference == Drain(graph, kind).mpds(3)
+        with Session(graph) as session:
+            result = (
+                session.query().sampler(kind, theta=THETA, seed=SEED)
+                .top_k(3).workers(workers).mpds()
             )
+        assert result == reference, (
+            f"cell ({kind}, workers={workers}) diverged"
+        )
 
     def test_truncated_per_world_limit_replays_identically(self, graph):
         unpacked, packed = _stores(graph, "mc")
         for limit in (1, 2):
-            reference = mpds_from_store(
-                unpacked, k=3, per_world_limit=limit
-            )
+            reference = unpacked.mpds(3, per_world_limit=limit)
             result = mpds_from_store(packed, k=3, per_world_limit=limit)
             assert result == reference
             assert result.replayed_worlds == reference.replayed_worlds
@@ -189,20 +256,18 @@ class TestMemoryBudget:
         for spec in ("edge", "clique:h=3"):
             assert mpds_from_store(
                 budgeted, k=3, measure=build_measure(spec)
-            ) == mpds_from_store(
-                unpacked, k=3, measure=build_measure(spec)
-            )
-        assert nds_from_store(budgeted, k=2, min_size=2) == nds_from_store(
-            unpacked, k=2, min_size=2
-        )
+            ) == unpacked.mpds(3, measure=build_measure(spec))
+        assert nds_from_store(budgeted, k=2, min_size=2) == unpacked.nds(2, 2)
         assert budgeted.peak_mask_bytes <= self._tiny_budget(packed)
         budgeted.close()
 
     def test_memory_units_tracks_representation(self, graph):
         unpacked, packed = _stores(graph, "mc")
-        assert unpacked.memory_units() == unpacked.masks.nbytes
+        # the oracle holds one byte per (world, edge) ...
+        assert unpacked.masks.nbytes == unpacked.count * graph.number_of_edges()
+        # ... the packed store one bit, rounded up to whole words
         assert packed.memory_units() == packed.mask_matrix().nbytes
-        assert packed.memory_units() < unpacked.memory_units() or (
+        assert packed.memory_units() < unpacked.masks.nbytes or (
             graph.number_of_edges() < 64
         )
         _, budgeted = _stores(
@@ -218,96 +283,7 @@ class TestMemoryBudget:
                 graph, None, THETA, seed=SEED, memory_budget=1
             )
 
-    def test_budget_requires_packed_store(self, graph):
-        with pytest.raises(ValueError, match="packed"):
-            WorldStore.from_sampler(
-                graph, None, THETA, seed=SEED, packed=False,
-                memory_budget=1 << 20,
-            )
-
     def test_repr_names_budget(self, graph):
         _, budgeted = _stores(graph, "mc", memory_budget=1 << 20)
         assert "memory_budget=1048576" in repr(budgeted)
         budgeted.close()
-
-
-class TestSessionRepresentationKeys:
-    """The fix: packed and unpacked draws must never share a cache line,
-    a published plan, or a counter -- pinned with a construction spy."""
-
-    def test_mixed_session_builds_distinct_stores(self, graph, monkeypatch):
-        built = []
-        original = WorldStore.from_vectorized.__func__
-
-        def spy(cls, sampler, theta, kind="mc", seed=None, packed=True,
-                memory_budget=None):
-            store = original(
-                cls, sampler, theta, kind=kind, seed=seed, packed=packed,
-                memory_budget=memory_budget,
-            )
-            built.append((packed, store))
-            return store
-
-        monkeypatch.setattr(
-            WorldStore, "from_vectorized", classmethod(spy)
-        )
-        with Session(graph) as session:
-            packed_result = (
-                session.query().sampler("mc", theta=THETA, seed=SEED)
-                .top_k(3).mpds()
-            )
-            mixed_result = (
-                session.query().sampler("mc", theta=THETA, seed=SEED)
-                .packed(False).top_k(3).mpds()
-            )
-            # identical estimates, but from two *separate* draws: the
-            # unpacked query must not have replayed the packed store
-            assert packed_result == mixed_result
-            assert [flag for flag, _ in built] == [True, False]
-            assert built[0][1].packed and not built[1][1].packed
-            assert built[0][1] is not built[1][1]
-            assert session.stats["stores_built"] == 2
-            assert session.stats["packed_stores_built"] == 1
-            assert session.stats["unpacked_stores_built"] == 1
-            # warm repeats hit their own representation's store (a new
-            # measure forces a store replay past the evaluation cache)
-            session.query().sampler("mc", theta=THETA, seed=SEED) \
-                .measure("clique:h=3").top_k(2).mpds()
-            session.query().sampler("mc", theta=THETA, seed=SEED) \
-                .measure("clique:h=3").packed(False).top_k(2).mpds()
-            assert session.stats["stores_built"] == 2
-            assert session.stats["packed_store_hits"] == 1
-            assert session.stats["unpacked_store_hits"] == 1
-
-    def test_world_store_override_per_draw(self, graph):
-        with Session(graph, packed=False) as session:
-            default = session.world_store("mc", theta=THETA, seed=SEED)
-            assert not default.packed
-            override = session.world_store(
-                "mc", theta=THETA, seed=SEED, packed=True
-            )
-            assert override.packed
-            assert override is not default
-            assert session.world_store(
-                "mc", theta=THETA, seed=SEED, packed=True
-            ) is override
-            assert session.stats["unpacked_stores_built"] == 1
-            assert session.stats["packed_stores_built"] == 1
-            assert session.stats["packed_store_hits"] == 1
-
-    def test_published_plans_keyed_per_representation(self, graph):
-        """Fan-outs publish per-representation segments: a packed plan
-        ships words, an unpacked plan ships bytes -- sharing one segment
-        would replay the wrong payload."""
-        with Session(graph) as session:
-            a = (
-                session.query().sampler("mc", theta=THETA, seed=SEED)
-                .workers(2).top_k(3).mpds()
-            )
-            b = (
-                session.query().sampler("mc", theta=THETA, seed=SEED)
-                .packed(False).workers(2).top_k(3).mpds()
-            )
-            assert a == b
-            assert session.stats["plans_published"] == 2
-            assert len(session._published) == 2

@@ -7,7 +7,7 @@ byte-identical -- masks *and* the LP insertion-order sidecar -- to a
 from-scratch :func:`repro.delta.draw_dynamic_store` on the mutated
 graph, and a live :class:`repro.session.Session` answering warm dynamic
 queries must return results equal to a cold session built on the
-mutated graph, across {packed, unpacked} x {edge, clique:h=2} x
+mutated graph, across {resident, paged} stores x {edge, clique:h=2} x
 {mc, lp} x engines, including truncated ``per_world_limit`` replays.
 """
 
@@ -27,6 +27,9 @@ from .conftest import random_uncertain_graph
 
 THETA = 24
 STEPS = 5
+#: a memory budget of eight one-word rows: far below a resident store,
+#: so surgery runs block by block through the spill pager
+PAGED_BUDGET = 64
 
 KINDS = ("mc", "lp")
 MEASURE_SPECS = ("edge", "clique:h=2")
@@ -86,20 +89,22 @@ def _edge_columns(store):
 # store level: incremental == from-scratch after every step
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", (3, 41))
-@pytest.mark.parametrize("packed", (True, False))
+@pytest.mark.parametrize("paged", (True, False))
 @pytest.mark.parametrize("kind", KINDS)
-def test_store_matches_from_scratch_after_every_step(kind, packed, seed):
+def test_store_matches_from_scratch_after_every_step(kind, paged, seed):
     rng = random.Random(seed)
     graph = random_uncertain_graph(rng, 12, 0.35)
+    budget = PAGED_BUDGET if paged else None
     store = draw_dynamic_store(
-        graph, kind=kind, theta=THETA, seed=seed, packed=packed
+        graph, kind=kind, theta=THETA, seed=seed, memory_budget=budget
     )
+    assert (store._pager is not None) == paged
     for step, (_delta, resolved, new_indexed) in enumerate(
         _schedule(rng, graph)
     ):
         apply_store_delta(store, resolved, new_indexed)
         fresh = draw_dynamic_store(
-            graph, kind=kind, theta=THETA, seed=seed, packed=packed
+            graph, kind=kind, theta=THETA, seed=seed
         )
         np.testing.assert_array_equal(
             store.masks, fresh.masks,
@@ -113,6 +118,8 @@ def test_store_matches_from_scratch_after_every_step(kind, packed, seed):
             np.testing.assert_array_equal(
                 store.order_indptr, fresh.order_indptr
             )
+        if paged:
+            assert store.peak_mask_bytes <= PAGED_BUDGET
         fresh.close()
     store.close()
 
@@ -223,13 +230,12 @@ def test_session_queries_match_cold_session_after_every_step(kind):
         assert session.stats["columns_redrawn"] >= STEPS - 1
 
 
-@pytest.mark.parametrize("packed", (True, False))
 @pytest.mark.parametrize("kind", KINDS)
-def test_session_nds_and_representations_after_updates(kind, packed):
+def test_session_nds_and_representations_after_updates(kind):
     seed = 53
     rng = random.Random(seed)
     graph = random_uncertain_graph(rng, 12, 0.35)
-    with Session(graph, packed=packed) as session:
+    with Session(graph) as session:
         for step in range(3):
             delta = _random_delta(rng, session.graph, structural=step == 1)
             session.update(delta)
@@ -237,7 +243,7 @@ def test_session_nds_and_representations_after_updates(kind, packed):
                 session.query().sampler(kind, theta=THETA, seed=seed)
                 .dynamic().top_k(2).min_size(2).nds()
             )
-            with Session(session.graph.copy(), packed=packed) as cold:
+            with Session(session.graph.copy()) as cold:
                 reference = (
                     cold.query().sampler(kind, theta=THETA, seed=seed)
                     .dynamic().top_k(2).min_size(2).nds()

@@ -315,13 +315,13 @@ def test_legacy_stores_are_evicted_not_maintained():
 class TestBudgetedMaintenance:
     def _budgeted(self, graph, seed, theta=64):
         full = draw_dynamic_store(
-            graph, kind="mc", theta=theta, seed=seed, packed=True
+            graph, kind="mc", theta=theta, seed=seed
         )
         words = full.mask_matrix().words
         budget = 3 * words.shape[1] * 8  # a few one-row blocks
         full.close()
         return draw_dynamic_store(
-            graph, kind="mc", theta=theta, seed=seed, packed=True,
+            graph, kind="mc", theta=theta, seed=seed,
             memory_budget=budget,
         ), budget
 
@@ -344,7 +344,7 @@ class TestBudgetedMaintenance:
                 f"step {step}: surgery burst the budget"
             )
             fresh = draw_dynamic_store(
-                graph, kind="mc", theta=64, seed=41, packed=True
+                graph, kind="mc", theta=64, seed=41
             )
             np.testing.assert_array_equal(store.masks, fresh.masks)
             fresh.close()
@@ -365,7 +365,7 @@ class TestBudgetedMaintenance:
         list(store.mask_worlds())  # stream everything once
         assert store.mask_nbytes <= budget
         fresh = draw_dynamic_store(
-            graph, kind="mc", theta=64, seed=43, packed=True
+            graph, kind="mc", theta=64, seed=43
         )
         np.testing.assert_array_equal(store.masks, fresh.masks)
         fresh.close()

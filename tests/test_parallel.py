@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.measures import CliqueDensity
+from repro.core.measures import CliqueDensity, EdgeDensity
 from repro.core.mpds import top_k_mpds
 from repro.core.nds import top_k_nds
 from repro.core.parallel import (
     parallel_top_k_mpds,
     parallel_top_k_nds,
 )
-from repro.engine.blocks import derive_block_seeds, plan_blocks
+from repro.engine.blocks import plan_blocks
 from repro.graph.uncertain import UncertainGraph
 from repro.sampling import LazyPropagationSampler, RecursiveStratifiedSampler
 
@@ -53,36 +53,6 @@ class TestChunkGrid:
             plan_blocks(0)
         with pytest.raises(ValueError):
             plan_blocks(10, max_blocks=0)
-
-
-class TestSeedDerivation:
-    def test_seeds_are_distinct(self):
-        seeds = derive_block_seeds(42, 64)
-        assert len(set(seeds)) == 64
-
-    def test_deterministic_for_fixed_root(self):
-        assert derive_block_seeds(7, 16) == derive_block_seeds(7, 16)
-
-    def test_adjacent_roots_never_collide(self):
-        """Regression: the old splitmix-style affine derivation could map
-        one root's lane onto another nearby root's lane; SeedSequence
-        spawn keys keep adjacent roots' block seeds fully disjoint."""
-        for root in (0, 1, 41, 42, 2023, 2**31):
-            ours = set(derive_block_seeds(root, 64))
-            for neighbour in (root - 1, root + 1, root + 2):
-                if neighbour < 0:
-                    continue
-                assert ours.isdisjoint(derive_block_seeds(neighbour, 64))
-
-    def test_none_root_draws_entropy(self):
-        a = derive_block_seeds(None, 8)
-        b = derive_block_seeds(None, 8)
-        assert len(set(a)) == 8
-        assert a != b  # two entropy roots virtually never coincide
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            derive_block_seeds(1, -1)
 
 
 class TestParallelMPDS:
@@ -334,12 +304,100 @@ class TestResolveWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
         def no_fanout(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("1-core auto run must not plan a fan-out")
+            raise AssertionError("1-core auto run must not fan out")
 
-        monkeypatch.setattr(par, "_plan_run", no_fanout)
+        monkeypatch.setattr(par, "dispatch_blocks", no_fanout)
         result = parallel_top_k_mpds(
             figure1, k=1, theta=40, seed=5, workers="auto"
         )
         from repro.core.mpds import top_k_mpds
 
         assert result == top_k_mpds(figure1, k=1, theta=40, seed=5)
+
+
+class InjectedFailure(RuntimeError):
+    """Raised by :class:`FailingDensity` partway through an evaluation."""
+
+
+class FailingDensity(EdgeDensity):
+    """Edge density that fails on its fourth world in each process --
+    module-level, so spawned pool workers can unpickle it."""
+
+    calls = 0
+
+    def all_densest(self, graph, limit=None):
+        FailingDensity.calls += 1
+        if FailingDensity.calls > 3:
+            raise InjectedFailure("injected mid-evaluation failure")
+        return super().all_densest(graph, limit)
+
+
+def _shm_segments():
+    import os
+
+    try:
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - no POSIX shm mount
+        return set()
+
+
+@pytest.fixture
+def store_ledger(monkeypatch):
+    """Record every world store built and every store closed."""
+    from repro.engine.worldstore import WorldStore
+
+    built, closed = [], []
+    init, close = WorldStore.__init__, WorldStore.close
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    def tracking_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(WorldStore, "__init__", tracking_init)
+    monkeypatch.setattr(WorldStore, "close", tracking_close)
+    return built, closed
+
+
+class TestTransientLifecycle:
+    """A one-shot call is a closing session: whatever it drew or
+    published is released when the call returns -- or raises."""
+
+    @pytest.mark.parametrize("draw", ["seeded", "unseeded", "instance"])
+    def test_one_shot_leaves_no_segment_or_open_store(
+        self, figure1, store_ledger, draw
+    ):
+        built, closed = store_ledger
+        before = _shm_segments()
+        seed = 7 if draw == "seeded" else None
+        sampler = (
+            LazyPropagationSampler(figure1, 7) if draw == "instance" else None
+        )
+        result = parallel_top_k_mpds(
+            figure1, k=2, theta=40, seed=seed, sampler=sampler, workers=2
+        )
+        assert result.theta == 40
+        assert len(built) == 1
+        assert all(any(s is store for s in closed) for store in built)
+        assert _shm_segments() <= before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [7, None])
+    def test_failing_measure_releases_everything(
+        self, figure1, store_ledger, workers, seed
+    ):
+        built, closed = store_ledger
+        before = _shm_segments()
+        FailingDensity.calls = 0
+        with pytest.raises(InjectedFailure, match="mid-evaluation"):
+            parallel_top_k_mpds(
+                figure1, k=2, theta=40, seed=seed, workers=workers,
+                measure=FailingDensity(),
+            )
+        assert len(built) == 1
+        assert all(any(s is store for s in closed) for store in built)
+        assert _shm_segments() <= before

@@ -1,12 +1,14 @@
 """Merge semantics of the parallel substrate, exercised in-process.
 
 Property under test: merging any *permutation* of per-block outputs over
-any *partition* (chunk grid) of the world stream reproduces the
-sequential ``top_k_mpds`` / ``top_k_nds`` output exactly -- candidates,
-ranking, per-world densest counts and ``per_world_limit`` replay
-counters included.  Everything here runs in the parent process through
-the same helpers the pool workers execute, so the properties are cheap
-to sweep.
+any *partition* (chunk grid) of a world store reproduces the sequential
+``top_k_mpds`` / ``top_k_nds`` output exactly -- candidates, ranking,
+per-world densest counts and ``per_world_limit`` replay counters
+included.  Everything here runs in the parent process through the same
+helpers the pool workers and the session merge execute
+(``_block_records`` per block, ``_records_in_grid_order`` into
+``finalize_mpds`` / ``accumulate_transactions``), so the properties are
+cheap to sweep.
 """
 
 from __future__ import annotations
@@ -16,59 +18,72 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.mpds import top_k_mpds
-from repro.core.nds import top_k_nds
+from repro.core.mpds import finalize_mpds, top_k_mpds
+from repro.core.nds import accumulate_transactions, finalize_nds, top_k_nds
 from repro.core.parallel import (
     _block_records,
-    _plan_run,
+    _records_in_grid_order,
     _replay_truncated,
-    merge_mpds_blocks,
-    merge_nds_blocks,
 )
-from repro.engine.blocks import (
-    derive_block_seeds,
-    drain_mask_stream,
-    mc_block_masks,
-    plan_blocks,
-)
+from repro.engine.blocks import drain_mask_stream, plan_blocks
 from repro.engine.indexed import IndexedGraph
 from repro.engine.sampler import VectorizedMonteCarloSampler
 from repro.engine.shm import attach_arrays, close_attachment, pack_arrays
+from repro.engine.worldstore import WorldStore
 from repro.graph.uncertain import UncertainGraph
 from repro.sampling import LazyPropagationSampler, RecursiveStratifiedSampler
 
 from .conftest import random_uncertain_graph
 
 
-def _mpds_outputs(plan, engine, enumerate_all=True, per_world_limit=100_000,
-                  measure=None):
+def _store(graph, theta, sampler=None, seed=None):
+    """The world store a session query would draw for these knobs."""
+    return WorldStore.from_sampler(graph, sampler, theta, seed=seed)
+
+
+def _grid(store):
+    return plan_blocks(store.count)
+
+
+def _outputs(store, engine, mode, enumerate_all=True,
+             per_world_limit=100_000, measure=None):
     """Evaluate every block in-process (what the pool workers do)."""
     from repro.core.measures import EdgeDensity
 
     measure = measure or EdgeDensity()
     outputs = []
-    for index, (start, stop) in enumerate(plan.blocks):
+    for index, (start, stop) in enumerate(_grid(store)):
         records, replayed = _block_records(
-            plan.indexed, plan.masks, plan.order_data, plan.order_indptr,
-            start, stop, measure, engine, enumerate_all, per_world_limit,
-            "mpds",
+            store.indexed, store.mask_matrix(), store.order_data,
+            store.order_indptr, start, stop, measure, engine,
+            enumerate_all, per_world_limit, mode,
         )
         outputs.append((index, records, replayed))
     return outputs
 
 
-def _nds_outputs(plan, engine, measure=None):
-    from repro.core.measures import EdgeDensity
+def _mpds_outputs(store, engine, enumerate_all=True,
+                  per_world_limit=100_000):
+    return _outputs(store, engine, "mpds", enumerate_all, per_world_limit)
 
-    measure = measure or EdgeDensity()
-    outputs = []
-    for index, (start, stop) in enumerate(plan.blocks):
-        records, replayed = _block_records(
-            plan.indexed, plan.masks, plan.order_data, plan.order_indptr,
-            start, stop, measure, engine, True, None, "nds",
-        )
-        outputs.append((index, records, replayed))
-    return outputs
+
+def _nds_outputs(store, engine):
+    return _outputs(store, engine, "nds", True, None)
+
+
+def _merge_mpds(blocks, weights, outputs, k):
+    """The session's MPDS merge: grid order, then the sequential
+    accumulation in ``finalize_mpds``."""
+    records, replayed = _records_in_grid_order(blocks, weights, outputs)
+    result = finalize_mpds(records, k)
+    result.replayed_worlds = sum(replayed)
+    return result
+
+
+def _merge_nds(blocks, weights, outputs, k, min_size):
+    """The session's NDS merge: grid order, one accumulation, one mine."""
+    records, _replayed = _records_in_grid_order(blocks, weights, outputs)
+    return finalize_nds(*accumulate_transactions(records), k, min_size)
 
 
 def _assert_mpds_equal(merged, sequential):
@@ -84,12 +99,12 @@ class TestMergePermutationInvariance:
     @pytest.mark.parametrize("engine", ["vectorized", "python"])
     def test_any_output_permutation_merges_identically(self, figure1, engine):
         sequential = top_k_mpds(figure1, k=3, theta=48, seed=5, engine=engine)
-        plan = _plan_run(figure1, 48, None, 5)
-        outputs = _mpds_outputs(plan, engine)
+        store = _store(figure1, 48, seed=5)
+        outputs = _mpds_outputs(store, engine)
         shuffler = random.Random(0)
         for _ in range(5):
             shuffler.shuffle(outputs)
-            merged = merge_mpds_blocks(plan.blocks, plan.weights, outputs, 3)
+            merged = _merge_mpds(_grid(store), store.weights, outputs, 3)
             _assert_mpds_equal(merged, sequential)
 
     def test_any_partition_merges_identically(self, figure1):
@@ -109,7 +124,7 @@ class TestMergePermutationInvariance:
                     EdgeDensity(), "vectorized", True, 100_000, "mpds",
                 )
                 outputs.append((index, records, replayed))
-            merged = merge_mpds_blocks(blocks, weights, outputs, 2)
+            merged = _merge_mpds(blocks, weights, outputs, 2)
             _assert_mpds_equal(merged, sequential)
 
     @pytest.mark.parametrize("sampler_cls", [
@@ -119,10 +134,10 @@ class TestMergePermutationInvariance:
         sequential = top_k_mpds(
             figure1, k=3, theta=36, sampler=sampler_cls(figure1, 3)
         )
-        plan = _plan_run(figure1, 36, sampler_cls(figure1, 3), None)
-        outputs = _mpds_outputs(plan, "vectorized")
+        store = _store(figure1, 36, sampler_cls(figure1, 3))
+        outputs = _mpds_outputs(store, "vectorized")
         outputs.reverse()
-        merged = merge_mpds_blocks(plan.blocks, plan.weights, outputs, 3)
+        merged = _merge_mpds(_grid(store), store.weights, outputs, 3)
         _assert_mpds_equal(merged, sequential)
 
     def test_random_graphs_merge_identically(self, rng):
@@ -131,10 +146,10 @@ class TestMergePermutationInvariance:
             if not list(graph.weighted_edges()):
                 continue
             sequential = top_k_mpds(graph, k=4, theta=30, seed=trial)
-            plan = _plan_run(graph, 30, None, trial)
-            outputs = _mpds_outputs(plan, "vectorized")
+            store = _store(graph, 30, seed=trial)
+            outputs = _mpds_outputs(store, "vectorized")
             random.Random(trial).shuffle(outputs)
-            merged = merge_mpds_blocks(plan.blocks, plan.weights, outputs, 4)
+            merged = _merge_mpds(_grid(store), store.weights, outputs, 4)
             _assert_mpds_equal(merged, sequential)
 
 
@@ -150,13 +165,13 @@ class TestReplayedWorldCounters:
             engine="vectorized",
         )
         assert sequential.replayed_worlds > 0
-        plan = _plan_run(graph, 20, None, 1)
-        outputs = _mpds_outputs(plan, "vectorized", per_world_limit=2)
+        store = _store(graph, 20, seed=1)
+        outputs = _mpds_outputs(store, "vectorized", per_world_limit=2)
         assert any(
             record is None for _, records, _ in outputs for record in records
         )
-        _replay_truncated(plan, outputs, sequential_measure(), 2)
-        merged = merge_mpds_blocks(plan.blocks, plan.weights, outputs, 5)
+        _replay_truncated(store, outputs, sequential_measure(), 2)
+        merged = _merge_mpds(_grid(store), store.weights, outputs, 5)
         _assert_mpds_equal(merged, sequential)
 
     def test_python_engine_truncation_replays_without_counting(self):
@@ -167,10 +182,10 @@ class TestReplayedWorldCounters:
             graph, k=5, theta=16, seed=2, per_world_limit=2, engine="python"
         )
         assert sequential.replayed_worlds == 0
-        plan = _plan_run(graph, 16, None, 2)
-        outputs = _mpds_outputs(plan, "python", per_world_limit=2)
-        _replay_truncated(plan, outputs, sequential_measure(), 2)
-        merged = merge_mpds_blocks(plan.blocks, plan.weights, outputs, 5)
+        store = _store(graph, 16, seed=2)
+        outputs = _mpds_outputs(store, "python", per_world_limit=2)
+        _replay_truncated(store, outputs, sequential_measure(), 2)
+        merged = _merge_mpds(_grid(store), store.weights, outputs, 5)
         _assert_mpds_equal(merged, sequential)
 
 
@@ -186,10 +201,10 @@ class TestNDSMerge:
         sequential = top_k_nds(
             figure1, k=2, min_size=2, theta=44, seed=9, engine=engine
         )
-        plan = _plan_run(figure1, 44, None, 9)
-        outputs = _nds_outputs(plan, engine)
+        store = _store(figure1, 44, seed=9)
+        outputs = _nds_outputs(store, engine)
         random.Random(1).shuffle(outputs)
-        merged = merge_nds_blocks(plan.blocks, plan.weights, outputs, 2, 2)
+        merged = _merge_nds(_grid(store), store.weights, outputs, 2, 2)
         assert merged.top == sequential.top
         assert merged.transactions == sequential.transactions
         assert merged.theta == sequential.theta
@@ -197,26 +212,26 @@ class TestNDSMerge:
 
 class TestMergeRefusesPartialGrids:
     def test_missing_block_raises(self, figure1):
-        plan = _plan_run(figure1, 20, None, 4)
-        outputs = _mpds_outputs(plan, "vectorized")[:-1]
+        store = _store(figure1, 20, seed=4)
+        outputs = _mpds_outputs(store, "vectorized")[:-1]
         with pytest.raises(ValueError, match="missing"):
-            merge_mpds_blocks(plan.blocks, plan.weights, outputs, 1)
+            _merge_mpds(_grid(store), store.weights, outputs, 1)
 
     def test_duplicate_block_raises(self, figure1):
-        plan = _plan_run(figure1, 20, None, 4)
-        outputs = _mpds_outputs(plan, "vectorized")
+        store = _store(figure1, 20, seed=4)
+        outputs = _mpds_outputs(store, "vectorized")
         with pytest.raises(ValueError, match="duplicate"):
-            merge_mpds_blocks(
-                plan.blocks, plan.weights, outputs + [outputs[0]], 1
+            _merge_mpds(
+                _grid(store), store.weights, outputs + [outputs[0]], 1
             )
 
     def test_mis_sized_block_raises(self, figure1):
-        plan = _plan_run(figure1, 20, None, 4)
-        outputs = _mpds_outputs(plan, "vectorized")
+        store = _store(figure1, 20, seed=4)
+        outputs = _mpds_outputs(store, "vectorized")
         index, records, replayed = outputs[0]
         outputs[0] = (index, records + [[]], replayed)
         with pytest.raises(ValueError, match="records"):
-            merge_mpds_blocks(plan.blocks, plan.weights, outputs, 1)
+            _merge_mpds(_grid(store), store.weights, outputs, 1)
 
 
 class TestSharedMemoryPlumbing:
@@ -257,14 +272,6 @@ class TestSharedMemoryPlumbing:
         finally:
             shm.close()
             shm.unlink()
-
-    def test_block_seeded_masks_are_reproducible(self, figure1):
-        indexed = IndexedGraph.from_uncertain(figure1)
-        seeds = derive_block_seeds(3, 4)
-        first = [mc_block_masks(indexed, seed, 5) for seed in seeds]
-        second = [mc_block_masks(indexed, seed, 5) for seed in seeds]
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
 
     def test_drain_matches_sequential_worlds(self, figure1):
         """The drained matrix is the sequential sampler's exact stream."""

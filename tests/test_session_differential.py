@@ -9,6 +9,11 @@ builds exactly one store per sweep -- asserted), while each cell's
 reference is a fresh one-shot call that samples from scratch.  Equality
 is full-result equality (dataclass ``==``): top-k, every candidate
 estimate, world counters, densest-family sizes and ``replayed_worlds``.
+
+The inputs that never reach the store cache get cells of their own:
+sampler instances (adopted into a transient store), unseeded draws, a
+custom sampler type the engine cannot replay, an edgeless graph and a
+one-world fan-out.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from repro.core.parallel import (
     parallel_top_k_nds,
     shutdown_pool,
 )
-from repro.sampling import SAMPLERS
+from repro.graph.uncertain import UncertainGraph
+from repro.sampling import SAMPLERS, MonteCarloSampler
 from repro.session import Session
 from repro.specs import build_measure
 
@@ -202,3 +208,125 @@ def test_worker_count_invariance_on_session(graph):
         ]
         assert results[0] == results[1] == results[2]
         assert session.stats["stores_built"] == 1
+
+
+# ----------------------------------------------------------------------
+# inputs outside the store cache
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ("python", "vectorized"))
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_sampler_instance_cells_byte_identical(graph, kind, engine):
+    """An MC/LP/RSS instance is adopted into a transient store: its
+    estimates equal the seeded spec query, and its RNG and bookkeeping
+    advance exactly as if it had drawn the worlds itself."""
+    sampler_cls = SAMPLERS[kind.upper()]
+    instance, twin = sampler_cls(graph, SEED), sampler_cls(graph, SEED)
+    with Session(graph) as session:
+        spec = session.query().sampler(kind, theta=THETA, seed=SEED) \
+            .engine(engine)
+        warm = session.query().sampler(instance, theta=THETA).engine(engine)
+        assert warm.top_k(3).mpds() == spec.top_k(3).mpds()
+        fresh = session.query().engine(engine).sampler(
+            sampler_cls(graph, SEED), theta=THETA
+        )
+        assert fresh.top_k(2).nds() == spec.top_k(2).nds()
+        # only the spec draw is cached; the instances' stores were closed
+        assert session.stats["stores_built"] == 1
+        assert len(session._stores) == 1
+    list(twin.worlds(THETA))  # the twin draws what the query drew
+    assert instance.memory_units() == twin.memory_units()
+    ours = [world.graph for world in instance.worlds(4)]
+    assert ours == [world.graph for world in twin.worlds(4)]
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_unseeded_cells_are_well_formed(graph, workers):
+    """Unseeded draws promise no reproducibility -- only well-formed
+    estimates over exactly ``theta`` worlds, and nothing cached."""
+    with Session(graph) as session:
+        query = session.query().sampler("mc", theta=THETA).workers(workers)
+        mpds = query.top_k(3).mpds()
+        nds = query.top_k(2).nds()
+        assert session.stats["worlds_sampled"] == 2 * THETA
+        assert not session._stores and not session._published
+    assert mpds.theta == THETA and len(mpds.densest_counts) == THETA
+    assert all(0.0 <= p <= 1.0 for p in mpds.candidates.values())
+    assert nds.theta == THETA and nds.transactions <= THETA
+
+
+class RelaySampler:
+    """A sampler type the engine cannot replay: it relays a Monte Carlo
+    sampler's worlds, so its estimates must equal the seeded MC query."""
+
+    def __init__(self, graph, seed):
+        self._inner = MonteCarloSampler(graph, seed)
+
+    def worlds(self, theta):
+        return self._inner.worlds(theta)
+
+    def memory_units(self):
+        return self._inner.memory_units()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_custom_sampler_streams_its_own_worlds(graph, engine):
+    with Session(graph) as session:
+        reference = session.query().sampler("mc", theta=THETA, seed=SEED) \
+            .engine("python")
+        custom = session.query().engine(engine).sampler(
+            RelaySampler(graph, SEED), theta=THETA
+        )
+        assert custom.top_k(3).mpds() == reference.top_k(3).mpds()
+        custom.sampler(RelaySampler(graph, SEED), theta=THETA)
+        assert custom.top_k(2).nds() == reference.top_k(2).nds()
+        with pytest.raises(ValueError, match="MC, LP and RSS"):
+            custom.workers(2).mpds()
+        with pytest.raises(ValueError, match="MC, LP and RSS"):
+            custom.workers(1).engine("vectorized").mpds()
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_edgeless_graph_cells(engine, workers):
+    edgeless = UncertainGraph()
+    for node in "ABC":
+        edgeless.add_node(node)
+    with Session(edgeless, engine=engine, workers=workers) as session:
+        warm = session.query().sampler("mc", theta=THETA, seed=SEED)
+        mpds = warm.top_k(2).mpds()
+        nds = warm.nds()
+    assert mpds == top_k_mpds(
+        edgeless, k=2, theta=THETA, seed=SEED, engine=engine
+    )
+    assert mpds.top == [] and mpds.densest_counts == [0] * THETA
+    assert nds == parallel_top_k_nds(
+        edgeless, theta=THETA, seed=SEED, workers=workers, engine=engine
+    )
+    assert nds.top == [] and nds.transactions == 0 and nds.theta == THETA
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_single_world_fan_out_evaluates_in_process(graph, kind, monkeypatch):
+    """``theta=1`` cannot fan out: a ``workers=2`` request evaluates
+    in-process and still equals the one-shot call."""
+    import repro.core.parallel as par
+
+    reference = top_k_mpds(
+        graph, k=3, theta=1, sampler=_one_shot_sampler(graph, kind), seed=SEED
+    )
+    nds_reference = top_k_nds(
+        graph, k=2, theta=1, sampler=_one_shot_sampler(graph, kind), seed=SEED
+    )
+
+    def no_fanout(*args, **kwargs):  # pragma: no cover - guard
+        raise AssertionError("a one-world grid must not fan out")
+
+    monkeypatch.setattr(par, "dispatch_blocks", no_fanout)
+    with Session(graph, workers=2) as session:
+        warm = session.query().sampler(kind, theta=1, seed=SEED)
+        assert warm.top_k(3).mpds() == reference
+        assert warm.top_k(2).nds() == nds_reference
+    assert parallel_top_k_mpds(
+        graph, k=3, theta=1, sampler=_one_shot_sampler(graph, kind),
+        seed=SEED, workers=2,
+    ) == reference
