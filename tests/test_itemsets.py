@@ -68,6 +68,65 @@ class TestBasics:
             top_k_closed_itemsets([["a"]], 1, min_length=0)
 
 
+class TestWeightValidation:
+    """Weights must pair up with transactions and be finite, >= 0."""
+
+    MINERS = [
+        lambda t, w: top_k_closed_itemsets(t, 2, weights=w),
+        lambda t, w: all_closed_itemsets(t, weights=w),
+        lambda t, w: naive_closed_itemsets(t, weights=w),
+    ]
+
+    @pytest.mark.parametrize("mine", MINERS)
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], []])
+    def test_length_mismatch_raises(self, mine, weights):
+        # zip() used to drop the unpaired transactions silently
+        with pytest.raises(ValueError, match="weights for"):
+            mine([["a", "b"], ["a"]], weights)
+
+    @pytest.mark.parametrize("mine", MINERS)
+    def test_negative_weight_raises(self, mine):
+        with pytest.raises(ValueError, match="non-negative"):
+            mine([["a", "b"], ["a"]], [0.5, -0.25])
+
+    @pytest.mark.parametrize("mine", MINERS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_raises(self, mine, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mine([["a", "b"], ["a"]], [bad, 1.0])
+
+    def test_empty_transactions_keep_their_weight_slot(self):
+        result = all_closed_itemsets([[], ["a"], []], weights=[5.0, 0.5, 7.0])
+        assert [(c.items, c.support) for c in result] == [
+            (frozenset({"a"}), 0.5)
+        ]
+
+    def test_zero_weights_are_allowed(self):
+        result = all_closed_itemsets([["a", "b"], ["a"]], weights=[0.0, 0.0])
+        assert {c.items for c in result} == {
+            frozenset({"a"}), frozenset({"a", "b"})
+        }
+        assert all(c.support == 0.0 for c in result)
+
+    def test_generators_are_read_once(self):
+        # all_closed_itemsets used to exhaust a generator before mining it
+        transactions = (t for t in [["a", "b"], ["a"]])
+        weights = (w for w in [0.25, 0.5])
+        result = all_closed_itemsets(transactions, weights=weights)
+        assert {c.items: c.support for c in result} == {
+            frozenset({"a"}): 0.75, frozenset({"a", "b"}): 0.25,
+        }
+
+    def test_weighted_supports_are_exact_against_oracle(self):
+        transactions = [["a", "b"], ["a", "c"], ["a", "b", "c"], ["a"]]
+        weights = [0.1, 0.2, 0.7, 1 / 3]
+        mined = all_closed_itemsets(transactions, weights=weights)
+        oracle = naive_closed_itemsets(transactions, weights=weights)
+        assert [(c.items, repr(c.support)) for c in mined] == [
+            (c.items, repr(c.support)) for c in oracle
+        ]
+
+
 class TestAgainstOracle:
     def test_random_databases(self, rng):
         for trial in range(60):
