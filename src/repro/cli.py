@@ -44,11 +44,9 @@ from typing import Optional, Sequence, Union
 
 from .core.exact import exact_top_k_mpds
 from .core.measures import DensityMeasure
-from .core.mpds import top_k_mpds
-from .core.nds import top_k_nds
-from .core.parallel import parallel_top_k_mpds, parallel_top_k_nds
 from .graph.io import read_uncertain_edge_list
 from .graph.uncertain import edge_probability_statistics
+from .session import Session
 from .specs import (
     PATTERNS,
     build_measure,
@@ -232,8 +230,6 @@ _RUN_KEYS = {"k", "min_size", "measure", "theta", "seed", "engine", "workers"}
 
 def _run_query_command(args: argparse.Namespace) -> int:
     """The ``query`` subcommand: one Session, several warm runs."""
-    from .session import Session
-
     graph = read_uncertain_edge_list(args.graph)
     try:
         kind, spec_theta, spec_seed, sampler_params = split_sampler_spec(
@@ -364,47 +360,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             theta = spec_theta if spec_theta is not None else args.theta
             seed = spec_seed if spec_seed is not None else args.seed
             check_int_knob("option --theta", "theta", theta, positive=True)
-            workers = args.workers
-            if workers == 1:
-                sampler = build_sampler(kind, graph, seed, **sampler_params)
-            else:
-                # MC ships seed only, so unseeded runs shard sampling
-                # too; LP/RSS samplers are drained stream-identically by
-                # the parent
-                sampler = (
-                    None if kind == "mc"
-                    else build_sampler(kind, graph, seed, **sampler_params)
-                )
+            sampler = build_sampler(kind, graph, seed, **sampler_params)
     except (ValueError, TypeError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.command == "mpds":
-        if workers != 1:
-            result = parallel_top_k_mpds(
-                graph, k=args.k, theta=theta, measure=measure,
-                sampler=sampler, seed=seed, workers=workers,
-                enumerate_all=not args.one_per_world, engine=args.engine,
+    if args.command in ("mpds", "nds"):
+        with Session(
+            graph, engine=args.engine, workers=args.workers
+        ) as session:
+            query = (
+                session.query().sampler(sampler, theta=theta)
+                .measure(measure).top_k(args.k)
             )
-        else:
-            result = top_k_mpds(
-                graph, k=args.k, theta=theta, measure=measure,
-                sampler=sampler, enumerate_all=not args.one_per_world,
-                engine=args.engine,
-            )
-        _print_scored(result.top, "tau-hat")
-    elif args.command == "nds":
-        if workers != 1:
-            result = parallel_top_k_nds(
-                graph, k=args.k, min_size=args.min_size, theta=theta,
-                measure=measure, sampler=sampler, seed=seed,
-                workers=workers, engine=args.engine,
-            )
-        else:
-            result = top_k_nds(
-                graph, k=args.k, min_size=args.min_size, theta=theta,
-                measure=measure, sampler=sampler, engine=args.engine,
-            )
-        _print_scored(result.top, "gamma-hat")
+            if args.command == "mpds":
+                result = query.enumerate_all(not args.one_per_world).mpds()
+                label = "tau-hat"
+            else:
+                result = query.min_size(args.min_size).nds()
+                label = "gamma-hat"
+        _print_scored(result.top, label)
     else:  # exact
         if graph.number_of_edges() > 22:
             print(

@@ -17,7 +17,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..graph.uncertain import UncertainGraph
 from ..sampling.base import WorldSampler
-from ..sampling.monte_carlo import MonteCarloSampler
 from .measures import DensityMeasure, EdgeDensity
 from .results import MPDSResult, NodeSet, ScoredNodeSet
 
@@ -33,9 +32,9 @@ def evaluate_worlds(
 ) -> Iterator[WorldRecord]:
     """Evaluate a world stream into per-world densest-family records.
 
-    The evaluation half of Algorithm 1's loop, shared verbatim by the
-    in-process session evaluation and the per-block workers of
-    :mod:`repro.core.parallel` (a block is just a slice of the stream):
+    The evaluation half of Algorithm 1's loop, reached through
+    :func:`repro.core.parallel.evaluate_records` by in-process and
+    fan-out evaluations alike (a block is just a slice of the stream):
     each world contributes ``(densest_sets, weight)``.
     """
     for weighted in worlds:
@@ -106,22 +105,22 @@ def mpds_from_store(
     worlds are replayed through the same evaluate/finalize seams every
     :class:`repro.session.Session` query runs, so the result is
     byte-identical to :func:`top_k_mpds` with the seed/theta the store
-    was drawn from.
+    was drawn from.  ``k`` and ``per_world_limit`` follow the
+    :class:`repro.session.Query` builder's validation rules.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    worlds, loop_measure, engine_measure = store.world_stream(
-        measure or EdgeDensity(), engine
+    from ..specs import check_count_knob
+    from .parallel import evaluate_records
+
+    k = check_count_knob("mpds_from_store", "k", k)
+    per_world_limit = check_count_knob(
+        "mpds_from_store", "per_world_limit", per_world_limit, optional=True
     )
-    result = finalize_mpds(
-        evaluate_worlds(worlds, loop_measure, enumerate_all, per_world_limit),
-        k,
+    records, replayed = evaluate_records(
+        "mpds", *store.world_stream(measure or EdgeDensity(), engine),
+        enumerate_all, per_world_limit,
     )
-    # read after finalize consumed the stream: the engine counts replays
-    # as it evaluates
-    result.replayed_worlds = (
-        engine_measure.replayed_worlds if engine_measure else 0
-    )
+    result = finalize_mpds(records, k)
+    result.replayed_worlds = replayed
     return result
 
 
@@ -198,17 +197,18 @@ def estimate_tau(
     """Estimate tau(U) for one node set by Monte Carlo (Lemma 1).
 
     Convenience wrapper: samples worlds and checks, per world, whether
-    ``nodes`` induces a densest subgraph (its density equals the optimum
-    and is positive).
+    ``nodes`` is one of the (unboundedly enumerated) densest subgraphs.
     """
-    measure = measure or EdgeDensity()
-    sampler = MonteCarloSampler(graph, seed)
+    from .parallel import transient_records
+
+    records = transient_records(
+        "mpds", graph, None, theta, measure or EdgeDensity(), seed
+    )
     target = frozenset(nodes)
     hits = 0.0
     total = 0.0
-    for weighted in sampler.worlds(theta):
-        total += weighted.weight
-        densest = measure.all_densest(weighted.graph)
+    for densest, weight in records:
+        total += weight
         if target in densest:
-            hits += weighted.weight
+            hits += weight
     return hits / total if total else 0.0

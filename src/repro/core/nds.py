@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 from ..graph.uncertain import UncertainGraph
 from ..itemsets.tfp import top_k_closed_itemsets
 from ..sampling.base import WorldSampler
-from ..sampling.monte_carlo import MonteCarloSampler
 from .measures import DensityMeasure, EdgeDensity
 from .results import NDSResult, NodeSet, ScoredNodeSet
 
@@ -37,9 +36,9 @@ def evaluate_transactions(
 ) -> Iterator[TransactionRecord]:
     """Evaluate a world stream into per-world transaction records.
 
-    The evaluation half of Algorithm 5's collection loop, shared by the
-    in-process session evaluation and the per-block workers of
-    :mod:`repro.core.parallel`.
+    The evaluation half of Algorithm 5's collection loop, reached
+    through :func:`repro.core.parallel.evaluate_records` by in-process
+    and fan-out evaluations alike.
     """
     for weighted in worlds:
         maximal = loop_measure.maximum_sized_densest(weighted.graph)
@@ -104,17 +103,20 @@ def nds_from_store(
     worlds are replayed through the same evaluate/accumulate/finalize
     seams every :class:`repro.session.Session` query runs, so the
     result is byte-identical to :func:`top_k_nds` with the seed/theta
-    the store was drawn from.
+    the store was drawn from.  ``k`` and ``min_size`` follow the
+    :class:`repro.session.Query` builder's validation rules.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if min_size < 1:
-        raise ValueError(f"min_size (l_m) must be >= 1, got {min_size}")
-    worlds, loop_measure, _engine_measure = store.world_stream(
-        measure or EdgeDensity(), engine
+    from ..specs import check_count_knob
+    from .parallel import evaluate_records
+
+    k = check_count_knob("nds_from_store", "k", k)
+    min_size = check_count_knob("nds_from_store", "min_size (l_m)", min_size)
+    records, _replayed = evaluate_records(
+        "nds", *store.world_stream(measure or EdgeDensity(), engine),
+        True, None,
     )
     transactions, weights, total_weight, actual_theta = (
-        accumulate_transactions(evaluate_transactions(worlds, loop_measure))
+        accumulate_transactions(records)
     )
     return finalize_nds(
         transactions, weights, total_weight, actual_theta, k, min_size
@@ -184,14 +186,16 @@ def estimate_gamma(
     ``U`` is contained in a densest subgraph iff it is contained in the
     maximum-sized densest subgraph of the world (footnote 5).
     """
-    measure = measure or EdgeDensity()
-    sampler = MonteCarloSampler(graph, seed)
+    from .parallel import transient_records
+
+    records = transient_records(
+        "nds", graph, None, theta, measure or EdgeDensity(), seed
+    )
     target = frozenset(nodes)
     hits = 0.0
     total = 0.0
-    for weighted in sampler.worlds(theta):
-        total += weighted.weight
-        maximal = measure.maximum_sized_densest(weighted.graph)
+    for maximal, weight in records:
+        total += weight
         if maximal is not None and target <= maximal:
-            hits += weighted.weight
+            hits += weight
     return hits / total if total else 0.0

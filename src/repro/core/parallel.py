@@ -17,18 +17,23 @@ substrate built around three invariants:
    they need arrives by shared memory or tiny picklable task tuples.
 2. **Shared-memory graph and world arrays.**  The parent publishes the
    graph's endpoint / probability / CSR arrays (plus the sampled world
-   masks and LP/RSS insertion orders) as :mod:`multiprocessing`
-   shared-memory segments (:mod:`repro.engine.shm`); a task ships only
-   segment names and a byte layout, and workers attach zero-copy
-   (cached per segment, so a 64-block run attaches twice, not 64
-   times).  The masks ship as the store's bit-packed uint64 words.
+   masks, estimator weights and LP/RSS insertion orders) as
+   :mod:`multiprocessing` shared-memory segments
+   (:mod:`repro.engine.shm`); a task ships only segment names and a
+   byte layout, and workers attach zero-copy (cached per segment, so a
+   64-block run attaches twice, not 64 times).  The masks ship as the
+   store's bit-packed uint64 words; a worker wraps the attached arrays
+   in a :class:`repro.engine.worldstore.WorldStore` and evaluates its
+   block through :func:`evaluate_records`, the same seam every
+   in-process evaluation uses.
 3. **A worker-count-invariant chunk grid.**  The ``theta`` worlds are
    sharded over fixed contiguous blocks (:func:`repro.engine.blocks.
    plan_blocks` -- a pure function of the world count).  Workers claim
-   whole blocks dynamically; the parent reassembles per-block records
-   in grid order and feeds them through the *same* accumulation code
-   the sequential estimators use (:func:`repro.core.mpds.finalize_mpds`
-   / :func:`repro.core.nds.accumulate_transactions`).  Every float is
+   whole blocks dynamically; the parent reassembles the weighted
+   per-block records in grid order and feeds them through the *same*
+   accumulation code the sequential estimators use
+   (:func:`repro.core.mpds.finalize_mpds` /
+   :func:`repro.core.nds.accumulate_transactions`).  Every float is
    therefore added in the same sequence as a sequential run.
 
 Determinism contract
@@ -56,18 +61,18 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..graph.uncertain import UncertainGraph
 from .measures import DensityMeasure
+from .mpds import evaluate_worlds
+from .nds import evaluate_transactions
 from .results import MPDSResult, NDSResult
 
 #: (start, stop) world-index ranges of the chunk grid
 BlockPlan = List[Tuple[int, int]]
 
-#: one finished block: (block index, per-world records, replayed count)
+#: one finished block: (block index, weighted records, replayed count)
 BlockOutput = Tuple[int, list, int]
 
 
@@ -167,97 +172,107 @@ def _attached_entry(name: str, layout, want_graph: bool):
 
 
 # ----------------------------------------------------------------------
-# per-block evaluation (runs in workers; also used in-process by tests)
+# world evaluation (the one seam: in-process, per block, per replay)
 # ----------------------------------------------------------------------
+def evaluate_records(
+    mode: str,
+    worlds,
+    loop_measure: DensityMeasure,
+    engine_measure,
+    enumerate_all: bool = True,
+    per_world_limit: Optional[int] = 100_000,
+) -> Tuple[list, int]:
+    """Evaluate a world stream into weighted per-world records.
+
+    The single world-evaluation seam shared by session queries, fan-out
+    blocks, stale-record patching, truncation replay, the ``*_from_store``
+    functions and the Lemma 1 estimators.  ``(worlds, loop_measure,
+    engine_measure)`` is what :meth:`WorldStore.world_stream` returns
+    (a custom sampler's stream pairs with the plain measure and
+    ``engine_measure=None``).  MPDS records are ``(densest_sets,
+    weight)`` (Algorithm 1); NDS records are ``(maximal set or None,
+    weight)`` (Algorithm 5), and NDS ignores ``enumerate_all`` /
+    ``per_world_limit``.  Returns ``(records, replayed)``, where
+    ``replayed`` counts the truncated enumerations the engine re-ran on
+    the python path.
+    """
+    if mode == "mpds":
+        records = list(evaluate_worlds(
+            worlds, loop_measure, enumerate_all, per_world_limit
+        ))
+    elif mode == "nds":
+        records = list(evaluate_transactions(worlds, loop_measure))
+    else:
+        raise ValueError(f"mode must be 'mpds' or 'nds', got {mode!r}")
+    # read after the stream is consumed: the engine counts replays as it
+    # evaluates
+    if engine_measure is None:
+        return records, 0
+    return records, engine_measure.replayed_worlds
+
+
+def transient_records(
+    mode: str,
+    graph: UncertainGraph,
+    sampler,
+    theta: int,
+    measure: DensityMeasure,
+    seed: Optional[int] = None,
+) -> list:
+    """Draw ``theta`` worlds into a transient store and evaluate them.
+
+    The Lemma 1 estimators and the experiment drivers' transaction
+    collection sum weights over these records.  ``sampler`` is an
+    MC/LP/RSS instance or ``None`` for ``MonteCarloSampler(graph,
+    seed)``; MPDS enumeration is unbounded.  The store is closed before
+    returning.
+    """
+    from ..engine.worldstore import WorldStore
+
+    store = WorldStore.from_sampler(graph, sampler, theta, seed=seed)
+    try:
+        records, _replayed = evaluate_records(
+            mode, *store.world_stream(measure), True, None
+        )
+    finally:
+        store.close()
+    return records
+
+
 def _block_records(
-    indexed,
-    masks: np.ndarray,
-    order_data: Optional[np.ndarray],
-    order_indptr: Optional[np.ndarray],
-    lo: int,
-    hi: int,
+    store,
+    start: int,
+    stop: int,
     measure: DensityMeasure,
     engine: str,
     enumerate_all: bool,
     per_world_limit: Optional[int],
     mode: str,
 ) -> Tuple[list, int]:
-    """Evaluate world rows ``lo:hi`` of ``masks`` into per-world records.
+    """Evaluate worlds ``start:stop`` of ``store`` into weighted records.
 
-    ``engine`` must already be resolved to ``"vectorized"``, ``"jit"``
-    or ``"python"``.  The vector tiers evaluate :class:`MaskWorld`
-    views through an :class:`EngineMeasure` (batched cheap stages via
-    :func:`primed_world_stream`); the python path replays
-    each world's exact insertion sequence into a :class:`Graph` and
-    queries the plain measure -- both byte-identical to what the
-    sequential estimator computes for the same worlds, with one
-    exception: a world whose densest-family enumeration (possibly) hit
-    ``per_world_limit`` is recorded as the sentinel ``None``.  The
+    ``engine`` must already be resolved.  Records are byte-identical to
+    what the in-process evaluation computes for the same worlds, with
+    one exception: a world whose densest-family enumeration (possibly)
+    hit ``per_world_limit`` is recorded as the sentinel ``None``.  The
     truncated *window* of an enumeration is order-sensitive, and
     enumeration order over string-labelled worlds depends on the
     process's hash seed -- so those few worlds must be re-evaluated in
     the parent process (:func:`_replay_truncated`), where the hash seed
-    matches the sequential run by construction.  Returns ``(records,
-    replayed_worlds)``.
+    matches the sequential run by construction.  The engine's own
+    replay counter already ticked for them, exactly as in a sequential
+    run.  Returns ``(records, replayed_worlds)``.
     """
-    from ..engine.estimators import (
-        VECTOR_ENGINES,
-        EngineMeasure,
-        primed_world_stream,
+    records, replayed = evaluate_records(
+        mode,
+        *store.world_stream(measure, engine, subset=range(start, stop)),
+        enumerate_all, per_world_limit,
     )
-    from ..engine.indexed import MaskWorld
-    from ..sampling.base import WeightedWorld
-    from .mpds import evaluate_worlds
-    from .nds import evaluate_transactions
-
-    vector = engine in VECTOR_ENGINES
-    loop_measure = (
-        EngineMeasure(measure, tier=engine) if vector else measure
-    )
-
-    def block_worlds() -> Iterator[WeightedWorld]:
-        for i in range(lo, hi):
-            order = (
-                order_data[order_indptr[i]:order_indptr[i + 1]]
-                if order_data is not None
-                else None
-            )
-            if vector:
-                world = MaskWorld(indexed, masks[i], order=order)
-            else:
-                world = indexed.world_graph(masks[i], order)
-            # weights are merged in the parent; per-block weight is unused
-            yield WeightedWorld(world, 0.0)
-
-    worlds = (
-        primed_world_stream(block_worlds(), loop_measure)
-        if vector
-        else block_worlds()
-    )
-    if mode == "nds":
+    if mode == "mpds" and enumerate_all and per_world_limit is not None:
         records = [
-            maximal
-            for maximal, _ in evaluate_transactions(worlds, loop_measure)
+            None if len(record[0]) >= per_world_limit else record
+            for record in records
         ]
-        return records, 0
-    records: list = []
-    for densest_sets, _ in evaluate_worlds(
-        worlds, loop_measure, enumerate_all, per_world_limit
-    ):
-        if (
-            enumerate_all
-            and per_world_limit is not None
-            and len(densest_sets) >= per_world_limit
-        ):
-            # (possibly) truncated enumeration: defer the order-sensitive
-            # window to the parent.  The engine's own replay counter (if
-            # any) already ticked, exactly as in a sequential run.
-            records.append(None)
-        else:
-            records.append(densest_sets)
-    replayed = (
-        loop_measure.replayed_worlds if vector else 0
-    )
     return records, replayed
 
 
@@ -265,7 +280,7 @@ def _evaluate_block(task) -> BlockOutput:
     """Worker entry point: evaluate one chunk-grid block.
 
     ``task`` is a small picklable tuple; all heavy inputs arrive by
-    shared memory.
+    shared memory and are wrapped, zero-copy, in a :class:`WorldStore`.
     """
     (
         block_index,
@@ -282,28 +297,29 @@ def _evaluate_block(task) -> BlockOutput:
         per_world_limit,
     ) = task
     from ..engine.shm import masks_from_payload
+    from ..engine.worldstore import WorldStore
 
     _shm, _arrays, indexed = _attached_entry(
         graph_name, graph_layout, want_graph=True
     )
-    _job_shm, job_arrays, _ = _attached_entry(
-        job_name, job_layout, want_graph=False
+    _job_shm, job, _ = _attached_entry(job_name, job_layout, want_graph=False)
+    store = WorldStore(
+        indexed, masks_from_payload(job), job["weights"],
+        job.get("order_data"), job.get("order_indptr"),
     )
-    records, replayed = _block_records(
-        indexed,
-        masks_from_payload(job_arrays),
-        job_arrays.get("order_data"),
-        job_arrays.get("order_indptr"),
-        start,
-        stop,
-        measure, engine, enumerate_all, per_world_limit, mode,
-    )
+    try:
+        records, replayed = _block_records(
+            store, start, stop,
+            measure, engine, enumerate_all, per_world_limit, mode,
+        )
+    finally:
+        store.close()
     return block_index, records, replayed
 
 
 def _replay_truncated(
     store,
-    outputs: List[BlockOutput],
+    records: list,
     measure: DensityMeasure,
     per_world_limit: Optional[int],
 ) -> None:
@@ -313,22 +329,19 @@ def _replay_truncated(
     *window*, and enumeration order over hash-containers follows the
     per-process hash seed -- so workers flag such worlds instead of
     answering (see :func:`_block_records`) and the parent, whose hash
-    seed is the one a sequential run would have used, replays them
-    through the same materialised-world python path the sequential
-    engines use, rebuilding each world from the store's mask rows.
-    Mutates ``outputs`` in place.
+    seed is the one a sequential run would have used, replays them on
+    the python engine the sequential engines fall back to.  ``records``
+    is the grid-ordered record list; it is patched in place.
     """
-    from ..engine.blocks import plan_blocks
-
-    blocks = plan_blocks(store.count)
-    for block_index, records, _replayed in outputs:
-        start, _stop = blocks[block_index]
-        for offset, record in enumerate(records):
-            if record is not None:
-                continue
-            i = start + offset
-            world = store.indexed.world_graph(store.mask_row(i), store.order(i))
-            records[offset] = measure.all_densest(world, per_world_limit)
+    truncated = [i for i, record in enumerate(records) if record is None]
+    if not truncated:
+        return
+    fresh, _replayed = evaluate_records(
+        "mpds", *store.world_stream(measure, "python", subset=truncated),
+        True, per_world_limit,
+    )
+    for i, record in zip(truncated, fresh):
+        records[i] = record
 
 
 # ----------------------------------------------------------------------
@@ -336,20 +349,18 @@ def _replay_truncated(
 # ----------------------------------------------------------------------
 def _records_in_grid_order(
     blocks: BlockPlan,
-    weights: np.ndarray,
     outputs: Iterable[BlockOutput],
-) -> Tuple[Iterator[Tuple[object, float]], List[int]]:
-    """Reassemble per-block outputs into the sequential record stream.
+) -> Tuple[list, int]:
+    """Reassemble per-block outputs into the sequential record list.
 
     ``outputs`` may arrive in *any* order (workers race) and are sorted
-    back onto the grid; each world record is re-paired with its global
-    estimator weight.  Returns the ordered record iterator plus the
-    per-block replay counts.  Raises ``ValueError`` on missing,
-    duplicated or mis-sized blocks -- the merge refuses to fabricate an
-    estimate from a partial grid.
+    back onto the grid.  Returns the ordered records plus the total
+    replay count.  Raises ``ValueError`` on missing, duplicated or
+    mis-sized blocks -- the merge refuses to fabricate an estimate from
+    a partial grid.
     """
     by_index: Dict[int, list] = {}
-    replayed: List[int] = [0] * len(blocks)
+    replayed = 0
     for block_index, records, block_replayed in outputs:
         if block_index in by_index:
             raise ValueError(f"duplicate block {block_index} in merge")
@@ -362,17 +373,14 @@ def _records_in_grid_order(
                 f"expected {stop - start}"
             )
         by_index[block_index] = records
-        replayed[block_index] = block_replayed
+        replayed += block_replayed
     if len(by_index) != len(blocks):
         missing = sorted(set(range(len(blocks))) - set(by_index))
         raise ValueError(f"merge is missing blocks {missing}")
-
-    def ordered() -> Iterator[Tuple[object, float]]:
-        for block_index, (start, _stop) in enumerate(blocks):
-            for offset, record in enumerate(by_index[block_index]):
-                yield record, float(weights[start + offset])
-
-    return ordered(), replayed
+    ordered = [
+        record for index in range(len(blocks)) for record in by_index[index]
+    ]
+    return ordered, replayed
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +466,7 @@ class PublishedPlan:
         if owns_graph:
             graph = PublishedGraph.publish(store.indexed)
         job_arrays = mask_payload(store.mask_matrix())
+        job_arrays["weights"] = store.weights
         if store.order_data is not None:
             job_arrays["order_data"] = store.order_data
             job_arrays["order_indptr"] = store.order_indptr
@@ -492,15 +501,19 @@ def dispatch_blocks(
     engine: str,
     enumerate_all: bool,
     per_world_limit: Optional[int],
-) -> List[BlockOutput]:
+) -> Tuple[list, int]:
     """Fan a store's chunk grid out over the persistent pool.
 
     ``published`` must hold the store's segments (see
     :class:`PublishedPlan`); ``engine`` must already be resolved.  At
-    most ``workers`` blocks are kept in flight.
+    most ``workers`` blocks are kept in flight.  Returns ``(records,
+    replayed)`` exactly as :func:`evaluate_records` returns them for
+    the whole store in-process: the blocks are merged in grid order and
+    truncated worlds are replayed here, in the parent.
     """
     from ..engine.blocks import plan_blocks
 
+    blocks = plan_blocks(store.count)
     tasks = [
         (
             block_index,
@@ -516,7 +529,7 @@ def dispatch_blocks(
             enumerate_all,
             per_world_limit,
         )
-        for block_index, (start, stop) in enumerate(plan_blocks(store.count))
+        for block_index, (start, stop) in enumerate(blocks)
     ]
     window = min(workers, len(tasks))
     pool = _ensure_pool(window)
@@ -532,7 +545,9 @@ def dispatch_blocks(
             outputs.append(pending.pop(0).get())
     while pending:
         outputs.append(pending.pop(0).get())
-    return outputs
+    records, replayed = _records_in_grid_order(blocks, outputs)
+    _replay_truncated(store, records, measure, per_world_limit)
+    return records, replayed
 
 
 # ----------------------------------------------------------------------

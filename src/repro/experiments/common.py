@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.measures import DensityMeasure
+from ..core.parallel import transient_records
 from ..datasets import (
     karate_club_uncertain,
     make_biomine_like,
@@ -76,17 +77,15 @@ def collect_max_densest_transactions(
     the comparisons paired.  ``measure`` and ``sampler`` accept
     :mod:`repro.specs` registry strings (``"clique:h=3"``, ``"lp"``) as
     well as instances, so experiment configurations can name them in
-    data rather than code.
+    data rather than code.  The draw lands in a transient world store,
+    so the sampler must be an MC, LP or RSS spec or instance.
     """
     measure = build_measure(measure)
     if isinstance(sampler, str):
         kind, params = parse_sampler_spec(sampler)
         sampler = build_sampler(kind, graph, seed, **params)
-    transactions: List[Tuple[NodeSet, float]] = []
-    for weighted in sampler.worlds(theta):
-        maximal = measure.maximum_sized_densest(weighted.graph)
-        transactions.append((maximal or frozenset(), weighted.weight))
-    return transactions
+    records = transient_records("nds", graph, sampler, theta, measure)
+    return [(maximal or frozenset(), weight) for maximal, weight in records]
 
 
 def containment_probability(

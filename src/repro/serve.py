@@ -85,6 +85,7 @@ from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .cli import _workers_arg
 from .graph.uncertain import UncertainGraph
 from .session import Session
 from .specs import (
@@ -1063,22 +1064,6 @@ class ReproServer:
 # ----------------------------------------------------------------------
 # CLI entry (`repro-serve`, `python -m repro.serve`, `repro-mpds serve`)
 # ----------------------------------------------------------------------
-def _workers_arg(text: str) -> Union[int, str]:
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"workers must be an integer or 'auto', got {text!r}"
-        )
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 1 or 'auto', got {text}"
-        )
-    return value
-
-
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the daemon's flags (shared with the ``repro-mpds serve``
     subcommand)."""

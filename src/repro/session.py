@@ -11,12 +11,13 @@ queries share:
   ``(sampler, theta, seed)`` draw is sampled exactly once
   (:class:`repro.engine.worldstore.WorldStore`) and replayed by every
   later query that names it -- zero resampling;
-* a per-(store, measure, engine) **evaluation cache**: the per-world
-  densest-family / transaction records are computed once, so a warm
-  query that only varies ``k``, ``min_size``, ``enumerate_all`` -> same
-  records, or MPDS vs NDS ranking knobs replays records through the
-  cheap finalize stage instead of re-solving every world (a different
-  *measure* re-evaluates, but still reuses the sampled worlds);
+* a per-(mode, store, measure, engine, enumerate_all,
+  per_world_limit) **evaluation cache**: the per-world densest-family /
+  transaction records are computed once, so a warm query that only
+  varies ``k`` or ``min_size`` replays records through the cheap
+  finalize stage instead of re-solving every world (a different
+  measure, mode, ``enumerate_all`` or ``per_world_limit`` re-evaluates,
+  but still reuses the sampled worlds);
 * the **published shared-memory segments** for parallel queries: the
   graph payload and each store's world arrays are packed once and kept
   alive for the session, so warm fan-outs ship only tiny task tuples
@@ -39,8 +40,9 @@ plain instances, or ``None`` for the defaults.
 One pipeline
 ------------
 Every query draws its worlds into a bit-packed :class:`WorldStore` and
-evaluates that store into per-world records -- in-process, or over the
-published chunk-grid fan-out when ``workers > 1`` -- before the
+evaluates that store into weighted per-world records -- in-process, or
+over the published chunk-grid fan-out when ``workers > 1``, both
+through :func:`repro.core.parallel.evaluate_records` -- before the
 finalize stage ranks them (MPDS) or mines them (NDS).  Seeded spec
 draws are cached in the session.  Unseeded draws and MC/LP/RSS
 sampler *instances* (adopted mid-stream through
@@ -84,12 +86,14 @@ import weakref
 from typing import Dict, List, Optional, Tuple, Union
 
 from .core.measures import DensityMeasure, EdgeDensity
-from .core.mpds import evaluate_worlds, finalize_mpds
-from .core.nds import accumulate_transactions, evaluate_transactions, finalize_nds
+from .core.mpds import finalize_mpds
+from .core.nds import accumulate_transactions, finalize_nds
+from .core.parallel import evaluate_records
 from .core.results import MPDSResult, NDSResult
 from .graph.uncertain import UncertainGraph
 from .specs import (
     build_measure,
+    check_count_knob,
     check_int_knob,
     parse_sampler_spec,
     sampler_store_key,
@@ -768,31 +772,15 @@ class Query:
         (``bool`` rejected, ``k >= 1``) -- a bad ``k`` used to survive
         until deep in finalize.
         """
-        if k is None or check_int_knob("Query.top_k", "k", k) is None:
-            raise ValueError(
-                f"Query.top_k: k must be an integer, got {k!r}"
-            )
-        if k < 1:
-            raise ValueError(f"Query.top_k: k must be >= 1, got {k}")
-        self._k = k
+        self._k = check_count_knob("Query.top_k", "k", k)
         return self
 
     def min_size(self, min_size: int) -> "Query":
         """Set ``l_m``, the minimum returned node-set size (NDS only;
         a positive integer, validated in the builder)."""
-        if min_size is None or check_int_knob(
-            "Query.min_size", "min_size", min_size
-        ) is None:
-            raise ValueError(
-                f"Query.min_size: min_size (l_m) must be an integer, "
-                f"got {min_size!r}"
-            )
-        if min_size < 1:
-            raise ValueError(
-                f"Query.min_size: min_size (l_m) must be >= 1, "
-                f"got {min_size}"
-            )
-        self._min_size = min_size
+        self._min_size = check_count_knob(
+            "Query.min_size", "min_size (l_m)", min_size
+        )
         return self
 
     def engine(self, engine: str) -> "Query":
@@ -813,16 +801,9 @@ class Query:
     def per_world_limit(self, limit: Optional[int]) -> "Query":
         """Cap the densest subgraphs enumerated per world (a positive
         integer, or ``None`` for unbounded; validated in the builder)."""
-        if limit is not None:
-            check_int_knob(
-                "Query.per_world_limit", "per_world_limit", limit
-            )
-            if limit < 1:
-                raise ValueError(
-                    "Query.per_world_limit: per_world_limit must be "
-                    f">= 1 or None, got {limit}"
-                )
-        self._per_world_limit = limit
+        self._per_world_limit = check_count_knob(
+            "Query.per_world_limit", "per_world_limit", limit, optional=True
+        )
         return self
 
     def dynamic(self, dynamic: bool = True) -> "Query":
@@ -856,12 +837,6 @@ class Query:
     # ------------------------------------------------------------------
     def _execute(self, mode: str):
         session = self._session
-        if self._k < 1:
-            raise ValueError(f"k must be >= 1, got {self._k}")
-        if mode == "nds" and self._min_size < 1:
-            raise ValueError(
-                f"min_size (l_m) must be >= 1, got {self._min_size}"
-            )
         theta = self._theta
         if theta is None:
             theta = 160 if mode == "mpds" else 640
@@ -1057,65 +1032,39 @@ class Query:
     def _records(self, mode, store, skey, measure, resolved, workers,
                  subset=None):
         """Evaluate a store (or only its ``subset`` worlds) into
-        per-world records: over the published fan-out when
-        ``workers > 1``, else in-process."""
-        if workers > 1 and subset is None:
-            return self._dispatch_records(
-                mode, store, skey, measure, resolved, workers
-            )
-        return self._evaluate(
-            mode, *store.world_stream(measure, resolved, subset=subset)
-        )
+        weighted per-world records: over the published fan-out when
+        ``workers > 1``, else in-process.
 
-    def _evaluate(self, mode, worlds, loop_measure, engine_measure):
-        """Evaluate a world stream in-process into ``(records,
-        replayed)`` through the :mod:`repro.core` evaluation seams."""
-        if mode == "mpds":
-            records = list(
-                evaluate_worlds(worlds, loop_measure, *self._knobs(mode))
-            )
-            # read after the stream is consumed: the engine counts
-            # replays as it evaluates
-            replayed = engine_measure.replayed_worlds if engine_measure else 0
-        else:
-            records = list(evaluate_transactions(worlds, loop_measure))
-            replayed = 0
-        if engine_measure is not None:
-            self._session._absorb_stage_stats(engine_measure.stage_stats())
-        return records, replayed
-
-    def _dispatch_records(self, mode, store, skey, measure, resolved,
-                          workers):
-        """Evaluate the store's worlds over the published fan-out.
-
-        Returns the grid-ordered per-world records -- exactly the
-        stream the in-process evaluation produces, so both fill the
-        same evaluation cache and finalize identically.  A transient
-        store (``skey=None``) unlinks its segment when the dispatch
-        ends, successful or not.
+        The fan-out returns exactly the list the in-process evaluation
+        produces, so both fill the same evaluation cache and finalize
+        identically.  A transient store (``skey=None``) unlinks its
+        segment when the dispatch ends, successful or not.
         """
-        from .core.parallel import (
-            _records_in_grid_order,
-            _replay_truncated,
-            dispatch_blocks,
-        )
-        from .engine.blocks import plan_blocks
+        if workers == 1 or subset is not None:
+            return self._evaluate(
+                mode, *store.world_stream(measure, resolved, subset=subset)
+            )
+        from .core.parallel import dispatch_blocks
 
         published = self._session._published_plan(skey, store)
         try:
-            outputs = dispatch_blocks(
+            return dispatch_blocks(
                 store, published, workers, mode, measure, resolved,
                 *self._knobs(mode),
             )
         finally:
             if skey is None:
                 published.close()
-        if mode == "mpds":
-            _replay_truncated(store, outputs, measure, self._per_world_limit)
-        ordered, replayed = _records_in_grid_order(
-            plan_blocks(store.count), store.weights, outputs
+
+    def _evaluate(self, mode, worlds, loop_measure, engine_measure):
+        """Evaluate a world stream in-process into ``(records,
+        replayed)`` through :func:`repro.core.parallel.evaluate_records`."""
+        records, replayed = evaluate_records(
+            mode, worlds, loop_measure, engine_measure, *self._knobs(mode)
         )
-        return list(ordered), (sum(replayed) if mode == "mpds" else 0)
+        if engine_measure is not None:
+            self._session._absorb_stage_stats(engine_measure.stage_stats())
+        return records, replayed
 
     def _finalize(self, mode, records, replayed):
         """Rank cached records -- the only per-query work on a warm hit."""

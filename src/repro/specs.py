@@ -141,6 +141,23 @@ def check_int_knob(
     return value
 
 
+def check_count_knob(
+    context: str, knob: str, value, optional: bool = False
+) -> Optional[int]:
+    """Validate a result-size knob (``k``, ``min_size``,
+    ``per_world_limit``): an integer ``>= 1`` under the
+    :func:`check_int_knob` rules, or ``None`` when ``optional``."""
+    if value is None and optional:
+        return None
+    if value is None:
+        raise ValueError(f"{context}: {knob} must be an integer, got None")
+    check_int_knob(context, knob, value)
+    if value < 1:
+        bound = ">= 1 or None" if optional else ">= 1"
+        raise ValueError(f"{context}: {knob} must be {bound}, got {value}")
+    return value
+
+
 def split_sampler_spec(
     spec: str,
 ) -> Tuple[str, Optional[int], Optional[int], SpecParams]:

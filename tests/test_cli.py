@@ -192,6 +192,30 @@ class TestCLISpecs:
         ]) == 0
         assert auto_out == capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["mpds", "--k", "3"],
+        ["nds", "--k", "3", "--min-size", "2"],
+    ])
+    @pytest.mark.parametrize("sampler", [
+        ["--sampler", "mc", "--theta", "32", "--seed", "7"],
+        ["--sampler", "lp:theta=32,seed=3"],
+    ])
+    def test_workers_fan_out_prints_identical_output(
+        self, tmp_path, capsys, command, sampler
+    ):
+        """One query pipeline: a fan-out prints exactly what the
+        in-process run prints, for seeded MC and LP draws alike."""
+        from repro.datasets import karate_club_uncertain
+
+        path = tmp_path / "karate.txt"
+        write_uncertain_edge_list(karate_club_uncertain(seed=2023), path)
+        argv = [command[0], str(path), *command[1:], *sampler]
+        assert main(argv + ["--workers", "1"]) == 0
+        sequential = capsys.readouterr().out
+        assert sequential.strip()
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == sequential
+
     def test_workers_rejects_garbage(self, graph_file):
         with pytest.raises(SystemExit):
             main(["mpds", graph_file, "--workers", "many"])

@@ -293,3 +293,58 @@ def test_dynamic_draws_are_engine_invariant_but_distinct_from_legacy():
         # a stream; the per-edge substream scheme is deliberately
         # distinct
         assert legacy.candidates != dynamic["auto"].candidates
+
+
+# ----------------------------------------------------------------------
+# fan-out over a surgically maintained store
+# ----------------------------------------------------------------------
+def _dynamic_json(session, spec):
+    """Serialized MPDS and NDS answers over the dynamic karate draw."""
+    def query():
+        return (
+            session.query().sampler("mc:theta=64,seed=7").dynamic()
+            .measure(spec).top_k(3)
+        )
+
+    return query().mpds().to_json(), query().min_size(2).nds().to_json()
+
+
+def test_fan_out_over_dynamic_store_matches_in_process_after_surgery():
+    """Workers rebuild a ``WorldStore`` from the republished segments of
+    a dynamic store after every update: ``workers=2`` must print, byte
+    for byte, what ``workers=1`` prints on the same maintained store.
+
+    Each step queries a measure neither session has evaluated yet, so
+    the step is an evaluation miss that fans out (a repeated measure
+    would patch its stale entry in-process instead)."""
+    from repro.datasets import karate_club_uncertain
+
+    graph = karate_club_uncertain(seed=2023)
+    edges = sorted(graph.weighted_edges())
+    deltas = [
+        GraphDelta(updates=[(u, v, round(1.0 - p, 3))])
+        for u, v, p in edges[:3]
+    ]
+    u, v = _absent_pair(random.Random(7), graph)
+    deltas.append(GraphDelta(inserts=[(u, v, 0.8)]))
+    measures = (
+        "edge", "clique:h=3", "clique:h=2", "pattern:psi=diamond",
+        "clique:h=4",
+    )
+    with Session(graph.copy(), workers=2) as fan, \
+            Session(graph.copy(), workers=1) as seq:
+        published = []
+        for step, spec in enumerate(measures):
+            if step:
+                fan.update(deltas[step - 1])
+                seq.update(deltas[step - 1])
+            assert _dynamic_json(fan, spec) == _dynamic_json(seq, spec), (
+                f"step {step} ({spec}): fan-out diverged from in-process"
+            )
+            published.append(fan.stats_snapshot()["plans_published"])
+        # every update unlinked the segments; each step's fan-out
+        # republished them (MPDS and NDS of one step share one plan)
+        assert published == list(range(1, len(measures) + 1))
+        assert fan.stats_snapshot()["dynamic_stores_built"] == 1
+        assert fan.stats_snapshot()["stores_updated"] == len(deltas)
+        assert seq.stats_snapshot()["plans_published"] == 0

@@ -6,7 +6,8 @@ any *partition* (chunk grid) of a world store reproduces the sequential
 per-world densest counts and ``per_world_limit`` replay counters
 included.  Everything here runs in the parent process through the same
 helpers the pool workers and the session merge execute
-(``_block_records`` per block, ``_records_in_grid_order`` into
+(``_block_records`` per block over a ``WorldStore``,
+``_records_in_grid_order`` and ``_replay_truncated`` into
 ``finalize_mpds`` / ``accumulate_transactions``), so the properties are
 cheap to sweep.
 """
@@ -54,8 +55,7 @@ def _outputs(store, engine, mode, enumerate_all=True,
     outputs = []
     for index, (start, stop) in enumerate(_grid(store)):
         records, replayed = _block_records(
-            store.indexed, store.mask_matrix(), store.order_data,
-            store.order_indptr, start, stop, measure, engine,
+            store, start, stop, measure, engine,
             enumerate_all, per_world_limit, mode,
         )
         outputs.append((index, records, replayed))
@@ -71,18 +71,20 @@ def _nds_outputs(store, engine):
     return _outputs(store, engine, "nds", True, None)
 
 
-def _merge_mpds(blocks, weights, outputs, k):
-    """The session's MPDS merge: grid order, then the sequential
-    accumulation in ``finalize_mpds``."""
-    records, replayed = _records_in_grid_order(blocks, weights, outputs)
+def _merge_mpds(blocks, outputs, k, store=None, per_world_limit=None):
+    """The session's MPDS merge: grid order, truncation replay in the
+    parent, then the sequential accumulation in ``finalize_mpds``."""
+    records, replayed = _records_in_grid_order(blocks, outputs)
+    if store is not None:
+        _replay_truncated(store, records, sequential_measure(), per_world_limit)
     result = finalize_mpds(records, k)
-    result.replayed_worlds = sum(replayed)
+    result.replayed_worlds = replayed
     return result
 
 
-def _merge_nds(blocks, weights, outputs, k, min_size):
+def _merge_nds(blocks, outputs, k, min_size):
     """The session's NDS merge: grid order, one accumulation, one mine."""
-    records, _replayed = _records_in_grid_order(blocks, weights, outputs)
+    records, _replayed = _records_in_grid_order(blocks, outputs)
     return finalize_nds(*accumulate_transactions(records), k, min_size)
 
 
@@ -104,7 +106,7 @@ class TestMergePermutationInvariance:
         shuffler = random.Random(0)
         for _ in range(5):
             shuffler.shuffle(outputs)
-            merged = _merge_mpds(_grid(store), store.weights, outputs, 3)
+            merged = _merge_mpds(_grid(store), outputs, 3)
             _assert_mpds_equal(merged, sequential)
 
     def test_any_partition_merges_identically(self, figure1):
@@ -112,19 +114,19 @@ class TestMergePermutationInvariance:
         sequential = top_k_mpds(figure1, k=2, theta=40, seed=11)
         sampler = VectorizedMonteCarloSampler(figure1, 11)
         masks, weights, _, _ = drain_mask_stream(sampler, 40)
+        store = WorldStore(sampler.indexed, masks, weights, None, None)
         from repro.core.measures import EdgeDensity
 
         for max_blocks in (1, 3, 7, 40, 64):
             blocks = plan_blocks(40, max_blocks)
-            indexed = sampler.indexed
             outputs = []
             for index, (start, stop) in enumerate(blocks):
                 records, replayed = _block_records(
-                    indexed, masks, None, None, start, stop,
+                    store, start, stop,
                     EdgeDensity(), "vectorized", True, 100_000, "mpds",
                 )
                 outputs.append((index, records, replayed))
-            merged = _merge_mpds(blocks, weights, outputs, 2)
+            merged = _merge_mpds(blocks, outputs, 2)
             _assert_mpds_equal(merged, sequential)
 
     @pytest.mark.parametrize("sampler_cls", [
@@ -137,7 +139,7 @@ class TestMergePermutationInvariance:
         store = _store(figure1, 36, sampler_cls(figure1, 3))
         outputs = _mpds_outputs(store, "vectorized")
         outputs.reverse()
-        merged = _merge_mpds(_grid(store), store.weights, outputs, 3)
+        merged = _merge_mpds(_grid(store), outputs, 3)
         _assert_mpds_equal(merged, sequential)
 
     def test_random_graphs_merge_identically(self, rng):
@@ -149,7 +151,7 @@ class TestMergePermutationInvariance:
             store = _store(graph, 30, seed=trial)
             outputs = _mpds_outputs(store, "vectorized")
             random.Random(trial).shuffle(outputs)
-            merged = _merge_mpds(_grid(store), store.weights, outputs, 4)
+            merged = _merge_mpds(_grid(store), outputs, 4)
             _assert_mpds_equal(merged, sequential)
 
 
@@ -170,8 +172,7 @@ class TestReplayedWorldCounters:
         assert any(
             record is None for _, records, _ in outputs for record in records
         )
-        _replay_truncated(store, outputs, sequential_measure(), 2)
-        merged = _merge_mpds(_grid(store), store.weights, outputs, 5)
+        merged = _merge_mpds(_grid(store), outputs, 5, store, 2)
         _assert_mpds_equal(merged, sequential)
 
     def test_python_engine_truncation_replays_without_counting(self):
@@ -184,8 +185,7 @@ class TestReplayedWorldCounters:
         assert sequential.replayed_worlds == 0
         store = _store(graph, 16, seed=2)
         outputs = _mpds_outputs(store, "python", per_world_limit=2)
-        _replay_truncated(store, outputs, sequential_measure(), 2)
-        merged = _merge_mpds(_grid(store), store.weights, outputs, 5)
+        merged = _merge_mpds(_grid(store), outputs, 5, store, 2)
         _assert_mpds_equal(merged, sequential)
 
 
@@ -204,7 +204,7 @@ class TestNDSMerge:
         store = _store(figure1, 44, seed=9)
         outputs = _nds_outputs(store, engine)
         random.Random(1).shuffle(outputs)
-        merged = _merge_nds(_grid(store), store.weights, outputs, 2, 2)
+        merged = _merge_nds(_grid(store), outputs, 2, 2)
         assert merged.top == sequential.top
         assert merged.transactions == sequential.transactions
         assert merged.theta == sequential.theta
@@ -215,15 +215,13 @@ class TestMergeRefusesPartialGrids:
         store = _store(figure1, 20, seed=4)
         outputs = _mpds_outputs(store, "vectorized")[:-1]
         with pytest.raises(ValueError, match="missing"):
-            _merge_mpds(_grid(store), store.weights, outputs, 1)
+            _merge_mpds(_grid(store), outputs, 1)
 
     def test_duplicate_block_raises(self, figure1):
         store = _store(figure1, 20, seed=4)
         outputs = _mpds_outputs(store, "vectorized")
         with pytest.raises(ValueError, match="duplicate"):
-            _merge_mpds(
-                _grid(store), store.weights, outputs + [outputs[0]], 1
-            )
+            _merge_mpds(_grid(store), outputs + [outputs[0]], 1)
 
     def test_mis_sized_block_raises(self, figure1):
         store = _store(figure1, 20, seed=4)
@@ -231,7 +229,7 @@ class TestMergeRefusesPartialGrids:
         index, records, replayed = outputs[0]
         outputs[0] = (index, records + [[]], replayed)
         with pytest.raises(ValueError, match="records"):
-            _merge_mpds(_grid(store), store.weights, outputs, 1)
+            _merge_mpds(_grid(store), outputs, 1)
 
 
 class TestSharedMemoryPlumbing:

@@ -8,7 +8,8 @@ Three bugs, three surfaces:
   spec layer with a context-prefixed message, and CLI paths exit 2;
 * ``Query.top_k`` / ``min_size`` / ``per_world_limit`` accepted 0,
   negatives, and ``bool`` without error until deep in finalize -- now
-  validated in the builder with messages mirroring the registry rules;
+  validated in the builder with messages mirroring the registry rules
+  (``mpds_from_store`` / ``nds_from_store`` apply the same rules);
 * ``_MaskPager.block_words`` trusted ``file.read(nbytes)``: a short
   read silently flowed into ``np.frombuffer(...).reshape`` and failed
   far from the cause -- now a descriptive ``IOError`` naming the spill
@@ -130,6 +131,57 @@ class TestQueryBuilderValidation:
         with pytest.raises(ValueError):
             session.query().sampler("mc", theta=0, seed=1)
         assert session.stats_snapshot()["stores_built"] == before
+
+
+class TestStoreFunctionValidation:
+    """``mpds_from_store`` / ``nds_from_store`` apply the builder's
+    rules: ``per_world_limit=0`` used to return an empty top with every
+    world counted as replayed, ``k=True`` was accepted, and ``k=2.0``
+    died inside finalize's slice."""
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        from repro.datasets import karate_club_uncertain
+
+        graph = karate_club_uncertain(seed=2023)
+        store = WorldStore.from_sampler(graph, None, 32, seed=7)
+        yield store
+        store.close()
+
+    @pytest.mark.parametrize("kwargs, knob", [
+        ({"per_world_limit": 0}, "per_world_limit"),
+        ({"per_world_limit": -3}, "per_world_limit"),
+        ({"per_world_limit": True}, "per_world_limit"),
+        ({"k": True}, "k"),
+        ({"k": 2.0}, "k"),
+        ({"k": 0}, "k"),
+        ({"k": None}, "k"),
+    ])
+    def test_mpds_from_store_rejects(self, store, kwargs, knob):
+        from repro.core.mpds import mpds_from_store
+
+        with pytest.raises(ValueError, match=f"mpds_from_store: {knob} must"):
+            mpds_from_store(store, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, knob", [
+        ({"k": True}, "k"),
+        ({"k": 2.0}, "k"),
+        ({"k": -1}, "k"),
+        ({"min_size": 0}, "min_size"),
+        ({"min_size": True}, "min_size"),
+        ({"min_size": 2.5}, "min_size"),
+    ])
+    def test_nds_from_store_rejects(self, store, kwargs, knob):
+        from repro.core.nds import nds_from_store
+
+        with pytest.raises(ValueError, match=f"nds_from_store: {knob}"):
+            nds_from_store(store, **kwargs)
+
+    def test_unbounded_limit_still_accepted(self, store):
+        from repro.core.mpds import mpds_from_store
+
+        result = mpds_from_store(store, k=2, per_world_limit=None)
+        assert result.top and result.replayed_worlds == 0
 
 
 # ----------------------------------------------------------------------
