@@ -14,13 +14,13 @@ attributable:
 * **world evaluation** -- enumerating all densest subgraphs per world
   (object Graph + FlowNetwork machinery vs the CSR/bitmask substrate).
 
-The vectorised evaluation stage is further split into the engine's own
-sub-stages (``EngineMeasure.stage_stats`` via the session counters):
-*stream* (pulling masks off the batch sampler), *bound* (the batched
-cross-world kernels: lockstep peel bound + vector-k core), and *exact*
-(the warm parametric flow chain on the survivors).  When numba is
-installed a third engine column (``engine="jit"``) is timed as well;
-without numba the table records the fallback instead.
+The vectorised evaluation stage splits further into its *bound* (the
+batched cross-world kernels: lockstep peel bound + vector-k core) and
+*exact* (the warm parametric flow chain on the survivors) layers;
+``python3 perfbench/run.py --trace 1`` reports them as ``bound.busy_s``
+and ``exact.busy_s``.  When numba is installed a third engine column
+(``engine="jit"``) is timed as well; without numba the table records
+the fallback instead.
 
 The per-stage table is archived as
 ``benchmarks/results/bench_engine_stages.txt`` on every run (pytest or
@@ -88,10 +88,9 @@ def run_stage_benchmark(
     without evaluating worlds; the world-evaluation stage is the
     end-to-end estimator time minus the sampling time (evaluation is the
     only other per-world work Algorithm 1 does).  The vectorised run
-    goes through a :class:`repro.session.Session` so its evaluation
-    stage can be split further (stream / bound / exact, plus the
-    primed/filtered world counters); when numba is installed the same
-    query is timed a third time under ``engine="jit"``.  Returns a dict
+    goes through a :class:`repro.session.Session`; when numba is
+    installed the same query is timed a third time under
+    ``engine="jit"``.  Returns a dict
     with per-stage seconds, per-stage speedups, the rendered table, and
     the results (whose estimates must all be identical).
     """
@@ -114,18 +113,15 @@ def run_stage_benchmark(
                 .top_k(3)
                 .mpds()
             )
-            stats = session.stats_snapshot()
-        return time.perf_counter() - start, result, stats
+        return time.perf_counter() - start, result
 
     # fast engines run before the long pure-Python leg so their stage
     # timings are not polluted by its thermal / allocator aftermath
-    vector_total, vector_result, vector_stats = timed_session_run(
-        "vectorized"
-    )
+    vector_total, vector_result = timed_session_run("vectorized")
 
     jit = None
     if HAVE_NUMBA:
-        jit_total, jit_result, _jit_stats = timed_session_run("jit")
+        jit_total, jit_result = timed_session_run("jit")
         jit = {"total": jit_total, "result": jit_result}
 
     start = time.perf_counter()
@@ -142,13 +138,6 @@ def run_stage_benchmark(
 
     python_eval = python_total - python_sampling
     vector_eval = vector_total - vector_sampling
-    split = {
-        "stream": vector_stats["eval_sampling_seconds"],
-        "bound": vector_stats["eval_bound_seconds"],
-        "exact": vector_stats["eval_exact_seconds"],
-        "primed": vector_stats["worlds_primed"],
-        "filtered": vector_stats["worlds_filtered"],
-    }
     identical = (
         python_result.candidates == vector_result.candidates
         and python_result.top == vector_result.top
@@ -176,9 +165,6 @@ def run_stage_benchmark(
         f"{'stage':18s} {'python':>12s} {'vectorized':>14s} {'speedup':>10s}",
         row("sampling", python_sampling, vector_sampling),
         row("world evaluation", python_eval, vector_eval),
-        f"  eval split: stream={split['stream']:.3f} s "
-        f"bound={split['bound']:.3f} s exact={split['exact']:.3f} s "
-        f"(worlds primed={split['primed']}, filtered={split['filtered']})",
         row("end-to-end", python_total, vector_total),
     ]
     if jit is not None:
@@ -201,7 +187,6 @@ def run_stage_benchmark(
             "evaluation": vector_eval,
             "total": vector_total,
         },
-        "stage_split": split,
         "jit": jit,
         "identical": identical,
         "table": "\n".join(lines),
@@ -218,9 +203,6 @@ def test_engine_speedup_with_identical_estimates(benchmark):
     assert python_result.densest_counts == vector_result.densest_counts
 
     emit("bench_engine_stages", report["table"])
-    split = report["stage_split"]
-    assert split["primed"] == BENCH_THETA  # every world saw the pre-pass
-    assert split["bound"] > 0.0 and split["exact"] > 0.0
     speedup = report["python"]["total"] / report["vectorized"]["total"]
     eval_speedup = (
         report["python"]["evaluation"] / report["vectorized"]["evaluation"]

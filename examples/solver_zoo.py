@@ -9,8 +9,7 @@ optimum and lets you pick per workload:
 * Charikar's LP relaxation via scipy/HiGHS (exact; [2]);
 * Greedy++ iterated peeling (anytime, converges to exact);
 * kClist++-style Frank-Wolfe for h-clique density (anytime; [57]);
-* single-pass peeling (1/2-approximation; Charikar 2000);
-* Dinic vs push-relabel as interchangeable max-flow backends.
+* single-pass peeling (1/2-approximation; Charikar 2000).
 
 This script runs all of them on one Barabasi-Albert graph and shows they
 agree, then demonstrates the multiprocess MPDS estimator.
@@ -22,16 +21,13 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 
 from repro.core.parallel import parallel_top_k_mpds
-from repro.dense.goldberg import SINK, SOURCE, build_edge_density_network, densest_subgraph
+from repro.dense.goldberg import densest_subgraph
 from repro.dense.greedypp import greedypp_densest
 from repro.dense.kclistpp import kclistpp_densest
 from repro.dense.clique_density import clique_densest_subgraph
 from repro.dense.peeling import peel_edge_density
-from repro.flow.maxflow import max_flow
-from repro.flow.push_relabel import push_relabel_max_flow
 from repro.graph.generators import assign_uniform, barabasi_albert
 
 
@@ -64,15 +60,6 @@ def main() -> None:
     print(f"  flow binary search rho*_3 = {flow3.density}")
     print(f"  kClist++ FW        rho_3  = {fw3.density} (match: "
           f"{fw3.density == flow3.density})")
-
-    print("\n== Max-flow backends on the Goldberg network ==")
-    alpha = exact.density
-    for name, engine in (("Dinic", max_flow), ("push-relabel", push_relabel_max_flow)):
-        network = build_edge_density_network(graph, alpha)
-        start = time.perf_counter()
-        value = engine(network, SOURCE, SINK)
-        elapsed = time.perf_counter() - start
-        print(f"  {name:13s} flow value = {value}  ({elapsed * 1e3:.2f} ms)")
 
     print("\n== Parallel MPDS estimation (2 workers) ==")
     uncertain = assign_uniform(graph, low=0.2, high=0.9, rng=random.Random(7))

@@ -21,16 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, FrozenSet, Iterator, List, Optional, Tuple
 
-import numpy as np
-
-from ..flow.csr import build_edge_density_network_csr
 from ..flow.maxflow import (
     max_flow,
     min_cut_maximal_source_side,
     min_cut_source_side,
 )
 from ..flow.network import FlowNetwork
-from ..flow.push_relabel import csr_max_preflow_min_cut, csr_push_relabel
+from ..flow.parametric import parametric_dinkelbach
 from ..graph.graph import Graph, Node
 from .component_enum import (
     ComponentStructure,
@@ -141,65 +138,6 @@ def prepare_from_bound(core: Graph, lower_bound: Fraction) -> _Prepared:
     return _finalise(core, alpha, network=network)
 
 
-def _dinkelbach_component(view: "SubWorldView", bound: Fraction):
-    """Exact rho* of one connected component view via Dinkelbach flows.
-
-    ``bound`` must be an edge density achieved by some induced subgraph
-    dominated by the component (so that a certifying flow proves
-    optimality).  Returns ``(rho*, network, view)`` where ``network`` is
-    a max-flowed CSR Goldberg network of ``view`` at ``alpha = rho*``
-    (``view`` may have been re-shrunk to the tighter ceil(rho*)-core,
-    mirroring :func:`prepare_from_bound`).
-
-    Delegates to the warm reverse-parametric chain
-    (:func:`repro.flow.parametric.parametric_dinkelbach`), which runs one
-    persistent push-relabel per component instead of one cold flow per
-    Dinkelbach iteration; :func:`_dinkelbach_component_cold` keeps the
-    classic restart loop for differential testing.
-    """
-    from ..flow.parametric import parametric_dinkelbach
-
-    return parametric_dinkelbach(view, bound)
-
-
-def _dinkelbach_component_cold(view: "SubWorldView", bound: Fraction):
-    """Classic cold-restart Dinkelbach loop (reference implementation)."""
-    alpha = Fraction(bound)
-    while True:
-        network = build_edge_density_network_csr(
-            view.n, view.edge_lu, view.edge_lv, view.degrees(), alpha
-        )
-        # total source capacity is exactly the certification target, so a
-        # value >= target preflow parked no excess and IS a max flow: the
-        # network stays valid for residual queries, and the improving case
-        # only needs the phase-1 height cut as its witness
-        target = 2 * view.m * alpha.denominator
-        value, cut = csr_max_preflow_min_cut(network)
-        if value >= target:
-            break
-        member = np.array(cut[: view.n], dtype=bool)
-        alpha = Fraction(view.induced_edges(member), int(member.sum()))
-    # alpha is now the exact rho*; rebuild on the tighter ceil(rho*)-core
-    # when it differs from `view` (mirroring prepare_from_bound),
-    # otherwise reuse the certifying network -- it is already max-flowed.
-    ceil_density = -(-alpha.numerator // alpha.denominator)
-    shrunken = view.k_core(ceil_density)
-    if shrunken.m == 0:  # pragma: no cover - see prepare_from_bound
-        shrunken = view
-    if shrunken.n != view.n:
-        view = shrunken
-        network = build_edge_density_network_csr(
-            view.n, view.edge_lu, view.edge_lv, view.degrees(), alpha
-        )
-        value = csr_push_relabel(network)
-        expected = 2 * view.m * alpha.denominator
-        if value != expected:  # pragma: no cover - guarded by exact rho*
-            raise AssertionError(
-                f"max flow {value} != 2 m q = {expected}; rho* not exact?"
-            )
-    return alpha, network, view
-
-
 def _component_residual_structure(network, view: "SubWorldView"):
     """Condense one component's max-flowed network; return its structure
     and the component's maximal min-cut side (as label frozensets).
@@ -284,9 +222,10 @@ def prepare_from_bound_csr(
       bound plus its degeneracy, and is skipped outright when the
       degeneracy (an upper bound on any subgraph's density) cannot reach
       the best exact density already found;
-    * surviving components run Dinkelbach iteration -- CSR Goldberg
-      networks (:func:`repro.flow.csr.build_edge_density_network_csr`),
-      flat push-relabel flows, mask k-core re-shrinks;
+    * surviving components run Dinkelbach iteration as one warm
+      push-relabel chain each
+      (:func:`repro.flow.parametric.parametric_dinkelbach`), re-shrunk
+      to the mask k-core at the exact density;
     * the residual structures of the components achieving ``rho*`` are
       concatenated (:func:`_merge_structures`), which reproduces the
       monolithic network's enumeration family exactly: a densest
@@ -314,7 +253,7 @@ def prepare_from_bound_csr(
         # single non-tree component: the caller's achieved global bound
         # applies to it directly, no per-component peel needed
         comp = components[0]
-        solved.append(_dinkelbach_component(comp, lower_bound))
+        solved.append(parametric_dinkelbach(comp, lower_bound))
     else:
         trees = []
         others = []
@@ -340,7 +279,7 @@ def prepare_from_bound_csr(
             core = comp.k_core(-(-bound_c.numerator // bound_c.denominator))
             if core.m == 0:  # pragma: no cover - bound is achieved in comp
                 core = comp
-            result = _dinkelbach_component(core, bound_c)
+            result = parametric_dinkelbach(core, bound_c)
             solved.append(result)
             if best is None or result[0] > best:
                 best = result[0]

@@ -33,7 +33,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
-from time import perf_counter
 from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
@@ -197,24 +196,15 @@ def primed_world_stream(
     the exact solver on the pre-shrunk core.  Worlds are still yielded
     in order (buffering never reorders or drops), so estimates are
     byte-identical to the unprimed stream.
-
-    Also the seam where the per-stage wall-clock split is measured:
-    time spent pulling from upstream is the **sampling** stage, the
-    batch kernels are the **bound** stage
-    (:attr:`EngineMeasure.stage_seconds`).
     """
     worlds = iter(worlds)
     while True:
-        started = perf_counter()
         buffered = list(islice(worlds, chunk))
-        engine_measure.stage_seconds["sampling"] += perf_counter() - started
         if not buffered:
             return
-        started = perf_counter()
         engine_measure.prime_batch(
             [w.graph for w in buffered if isinstance(w.graph, MaskWorld)]
         )
-        engine_measure.stage_seconds["bound"] += perf_counter() - started
         yield from buffered
 
 
@@ -265,12 +255,9 @@ class EngineMeasure(DensityMeasure):
     ``"numpy"`` (always available) or ``"jit"`` (numba-compiled when
     installed; see :mod:`repro.engine.jit` -- activated per call via a
     context variable, so concurrent queries can run different tiers).
-    ``stage_seconds`` splits the evaluation wall clock into the
-    *sampling* (upstream world production), *bound* (peel bounds +
-    k-core shrink, batched or per world) and *exact* (Dinkelbach flows,
-    residual condensation, enumeration) stages; ``worlds_primed`` /
-    ``worlds_filtered`` count worlds served by the batched pre-pass and
-    worlds dismissed as edgeless before any exact work.
+    ``worlds_primed`` / ``worlds_filtered`` count worlds served by the
+    batched pre-pass and worlds dismissed as edgeless before any exact
+    work.
     """
 
     def __init__(self, inner: DensityMeasure, tier: str = "numpy") -> None:
@@ -284,27 +271,10 @@ class EngineMeasure(DensityMeasure):
         self.replayed_worlds = 0
         self.worlds_primed = 0
         self.worlds_filtered = 0
-        self.stage_seconds = {"sampling": 0.0, "bound": 0.0, "exact": 0.0}
 
     def _tier(self):
         """Context manager activating this measure's hot-loop tier."""
         return use_jit(True) if self._jit else nullcontext()
-
-    def stage_stats(self) -> dict:
-        """Per-stage evaluation split for session/serve bookkeeping.
-
-        ``sampling`` / ``bound`` / ``exact`` are wall-clock seconds
-        (world production, cheap filtering stages, exact solve);
-        ``primed`` / ``filtered`` count worlds served by the batched
-        pre-pass and worlds dismissed as edgeless.
-        """
-        return {
-            "sampling": self.stage_seconds["sampling"],
-            "bound": self.stage_seconds["bound"],
-            "exact": self.stage_seconds["exact"],
-            "primed": self.worlds_primed,
-            "filtered": self.worlds_filtered,
-        }
 
     # ------------------------------------------------------------------
     # batched pre-pass (chunk-at-a-time cheap stages)
@@ -387,7 +357,6 @@ class EngineMeasure(DensityMeasure):
             if not world.mask.any():
                 self.worlds_filtered += 1
                 return None
-            started = perf_counter()
             view = world.view()
             indptr, neighbors = view.csr()
             with self._tier():
@@ -395,7 +364,6 @@ class EngineMeasure(DensityMeasure):
                     view.n, indptr, neighbors
                 )
             if num <= 0:  # pragma: no cover - edges imply a positive bound
-                self.stage_seconds["bound"] += perf_counter() - started
                 self.worlds_filtered += 1
                 return None
             k = -(-num // den)
@@ -404,13 +372,9 @@ class EngineMeasure(DensityMeasure):
                 # prepare_from_bound
                 node_alive = np.ones(indexed.n, dtype=bool)
                 edge_alive = world.mask
-            self.stage_seconds["bound"] += perf_counter() - started
-        started = perf_counter()
         core = SubWorldView(indexed, edge_alive, node_alive)
         with self._tier():
-            prepared = prepare_from_bound_csr(core, Fraction(num, den))
-        self.stage_seconds["exact"] += perf_counter() - started
-        return prepared
+            return prepare_from_bound_csr(core, Fraction(num, den))
 
     # ------------------------------------------------------------------
     # clique/pattern pre-filtering
@@ -421,11 +385,9 @@ class EngineMeasure(DensityMeasure):
         if primed is not None and len(primed) == 2:
             node_alive, edge_alive = primed
         else:
-            started = perf_counter()
             node_alive, edge_alive = k_core_alive(
                 world.indexed, world.mask, self._core_k
             )
-            self.stage_seconds["bound"] += perf_counter() - started
         return SubWorldView(world.indexed, edge_alive, node_alive).materialize()
 
     def all_densest(

@@ -5,8 +5,8 @@ The vectorised engine batches every stage it can across worlds
 :func:`repro.engine.kernels.batch_k_core_alive`), but two loops resist
 batching because their control flow is data-dependent per world: the
 bucketed Charikar peel (:func:`repro.dense.peeling._peel_arrays`) and
-the FIFO push-relabel discharge (:mod:`repro.flow.push_relabel`,
-:class:`repro.flow.parametric.ReverseChain`).  This module provides
+the FIFO push-relabel discharge of the warm parametric chain
+(:meth:`repro.flow.parametric.ReverseChain.run`).  This module provides
 flat-``int64``-array ports of both, written in nopython-compatible
 style:
 
@@ -44,7 +44,6 @@ __all__ = [
     "jit_active",
     "peel_csr",
     "phase1_discharge",
-    "preflow_phase1",
 ]
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -240,27 +239,19 @@ def phase1_discharge(
     excess: np.ndarray, height: np.ndarray, count_at_height: np.ndarray,
     pointers: np.ndarray, in_queue: np.ndarray, queue: np.ndarray,
     qhead: int, qtail: int, source: int, sink: int, num_nodes: int,
-    fresh: bool,
 ) -> int:
     """Run the FIFO phase-1 discharge to quiescence; return ``excess[sink]``.
 
-    The flat twin of :meth:`repro.flow.parametric.ReverseChain.run` (and
-    of ``_push_relabel``'s first phase): current-arc pointers, inlined
-    relabel, gap heuristic, periodic global relabeling, nodes parked at
-    ``height >= num_nodes`` left alone.  All state arrays are mutated in
-    place, so the caller can resume the same chain later (warm
-    parametric continuation) or read the height cut.  ``queue`` is a
-    ring buffer of capacity ``num_nodes + 1``; ``fresh`` forces an
-    initial global relabel (cold start).
+    The flat twin of :meth:`repro.flow.parametric.ReverseChain.run`:
+    current-arc pointers, inlined relabel, gap heuristic, periodic global
+    relabeling, nodes parked at ``height >= num_nodes`` left alone.  All
+    state arrays are mutated in place, so the caller can resume the same
+    chain later (warm parametric continuation) or read the height cut.
+    ``queue`` is a ring buffer of capacity ``num_nodes + 1`` holding the
+    active nodes in ``[qhead, qtail)``.
     """
     qsize = queue.shape[0]
     infinity = 2 * num_nodes
-    if fresh:
-        qtail = _rebuild_phase1(
-            to, cap, twin, indptr, excess, height, count_at_height,
-            pointers, in_queue, queue, source, sink, num_nodes,
-        )
-        qhead = 0
     relabels_since_global = 0
     while qhead != qtail:
         node = queue[qhead]
@@ -341,43 +332,3 @@ def phase1_discharge(
             excess[node] = node_excess
             pointers[node] = e
     return excess[sink]
-
-
-def preflow_phase1(network):
-    """JIT phase-1 of ``csr_max_preflow_min_cut`` on a CSR network.
-
-    Converts the list-based network to ``int64`` arrays, saturates the
-    source, runs :func:`phase1_discharge` cold, and writes the residual
-    capacities back.  Returns ``(value, side)`` exactly like the classic
-    implementation, or ``None`` when a capacity does not fit ``int64``
-    (the caller then uses the exact python path).
-    """
-    num_nodes = network.num_nodes
-    source, sink = network.source, network.sink
-    try:
-        cap = np.array(network.cap, dtype=np.int64)
-    except OverflowError:
-        return None
-    to = np.array(network.to, dtype=np.int64)
-    twin = np.array(network.twin, dtype=np.int64)
-    indptr = np.array(network.indptr, dtype=np.int64)
-    excess = np.zeros(num_nodes, dtype=np.int64)
-    for e in range(indptr[source], indptr[source + 1]):
-        delta = cap[e]
-        if delta <= 0:
-            continue
-        cap[e] = 0
-        cap[twin[e]] += delta
-        excess[to[e]] += delta
-        excess[source] -= delta
-    height = np.zeros(num_nodes, dtype=np.int64)
-    count_at_height = np.zeros(2 * num_nodes + 2, dtype=np.int64)
-    pointers = np.zeros(num_nodes, dtype=np.int64)
-    in_queue = np.zeros(num_nodes, dtype=np.bool_)
-    queue = np.zeros(num_nodes + 1, dtype=np.int64)
-    value = phase1_discharge(
-        to, cap, twin, indptr, excess, height, count_at_height, pointers,
-        in_queue, queue, 0, 0, source, sink, num_nodes, True,
-    )
-    network.cap[:] = cap.tolist()
-    return int(value), [int(h) >= num_nodes for h in height]

@@ -1,20 +1,12 @@
 """Max-flow substrate: object networks with residual access and their
-flat CSR twins, Dinic + FIFO push-relabel solvers for both, SCCs."""
+flat CSR twins, Dinic for object networks, FIFO push-relabel for CSR
+networks, SCCs."""
 
 from .network import Arc, Capacity, FlowNetwork, NetNode
 from .csr import CSRFlowNetwork, build_edge_density_network_csr
-from .maxflow import (
-    csr_max_flow,
-    max_flow,
-    min_cut_maximal_source_side,
-    min_cut_source_side,
-)
-from .push_relabel import (
-    csr_max_preflow_min_cut,
-    csr_push_relabel,
-    push_relabel_max_flow,
-)
-from .scc import condensation_successors, strongly_connected_components
+from .maxflow import max_flow, min_cut_maximal_source_side, min_cut_source_side
+from .push_relabel import csr_push_relabel
+from .scc import condensation_successors
 
 __all__ = [
     "Arc",
@@ -23,13 +15,9 @@ __all__ = [
     "NetNode",
     "CSRFlowNetwork",
     "build_edge_density_network_csr",
-    "csr_max_flow",
     "max_flow",
     "min_cut_maximal_source_side",
     "min_cut_source_side",
-    "csr_max_preflow_min_cut",
     "csr_push_relabel",
-    "push_relabel_max_flow",
     "condensation_successors",
-    "strongly_connected_components",
 ]

@@ -14,15 +14,15 @@ cap[twin[e]] += delta``, and a residual-graph query is just
 All capacities are Python ints (exact; the Goldberg construction scales by
 the density denominator, see :mod:`repro.dense.goldberg`), so the solved
 flows and min cuts are byte-identical to the object-based
-:mod:`repro.flow.maxflow` / :mod:`repro.flow.push_relabel` results: max
-flow values are unique, and the minimal / maximal min-cut sides and the
-residual SCC condensation are invariant across maximum flows
-(Picard-Queyranne), whichever solver produced them.
+:mod:`repro.flow.maxflow` results: max flow values are unique, and the
+minimal / maximal min-cut sides and the residual SCC condensation are
+invariant across maximum flows (Picard-Queyranne), whichever solver
+produced them.
 
-The solvers are :func:`repro.flow.push_relabel.csr_push_relabel` /
-:func:`repro.flow.push_relabel.csr_max_preflow_min_cut` (array ports of
-the FIFO push-relabel in that file, the engine's default) and
-:func:`repro.flow.maxflow.csr_max_flow` (array Dinic, the cross-check).
+Two solvers produce CSR max flows: the warm parametric chain
+(:class:`repro.flow.parametric.ReverseChain`, the engine's per-component
+exact stage) and :func:`repro.flow.push_relabel.csr_push_relabel` (its
+cold solve after a core re-shrink).
 """
 
 from __future__ import annotations
@@ -128,24 +128,6 @@ class CSRFlowNetwork:
                 if cap[e] > 0
             ]
         return adjacency
-
-    def reachable_from_source(self) -> List[bool]:
-        """Per-node flags: reachable from ``source`` in the residual graph.
-
-        After a max flow this is the *minimal* min-cut source side (a
-        flow-invariant set).
-        """
-        to, cap, indptr = self.to, self.cap, self.indptr
-        seen = [False] * self.num_nodes
-        seen[self.source] = True
-        stack = [self.source]
-        while stack:
-            node = stack.pop()
-            for e in range(indptr[node], indptr[node + 1]):
-                if cap[e] > 0 and not seen[to[e]]:
-                    seen[to[e]] = True
-                    stack.append(to[e])
-        return seen
 
     def coreachable_to_sink(self) -> List[bool]:
         """Per-node flags: can still reach ``sink`` in the residual graph.

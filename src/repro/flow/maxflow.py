@@ -1,15 +1,15 @@
-"""Dinic's maximum-flow algorithm: object networks and the CSR port.
+"""Dinic's maximum-flow algorithm over object flow networks.
 
 Dinic's algorithm repeatedly builds a BFS level graph and saturates a
 blocking flow with iterative DFS.  It terminates for arbitrary non-negative
 rational capacities (the level structure strictly grows), which is what the
 exact-density constructions need.
 
-:func:`max_flow` runs on the object :class:`~repro.flow.network.FlowNetwork`
-(the reference path); :func:`csr_max_flow` is the same algorithm over the
-flat-array :class:`~repro.flow.csr.CSRFlowNetwork` used by the vectorised
-engine.  Max-flow values are unique and min-cut sides / residual SCCs are
-flow-invariant, so the two are interchangeable downstream.
+:func:`max_flow` runs on the object :class:`~repro.flow.network.FlowNetwork`.
+The python engine and custom measures solve on it, and it is the reference
+the flat-array :func:`repro.flow.push_relabel.csr_push_relabel` is tested
+against.  Max-flow values are unique and min-cut sides / residual SCCs are
+flow-invariant, so either solver serves every downstream query.
 
 Complexity is ``O(V^2 E)`` in general and much better on the unit-ish
 networks that arise here; the graphs in this reproduction are laptop-scale.
@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional
 
-from .csr import CSRFlowNetwork
 from .network import Arc, Capacity, FlowNetwork, NetNode
 
 
@@ -103,81 +102,6 @@ def _dfs_push(
         dead = path.pop()
         node = dead.tail
         pointers[node] += 1
-
-
-def csr_max_flow(network: CSRFlowNetwork) -> int:
-    """Dinic over a :class:`CSRFlowNetwork`; returns the max-flow value.
-
-    Mutates ``network.cap`` (residual capacities) in place, leaving the
-    residual graph available for the network's queries.  Flat twin of
-    :func:`max_flow`: BFS level graph + iterative DFS blocking flow with
-    per-node current-arc pointers, all over tail-sorted list arcs (the
-    reverse of arc ``e`` is ``network.twin[e]``).
-    """
-    s = network.source
-    t = network.sink
-    if s == t:
-        raise ValueError("source and sink must differ")
-    n = network.num_nodes
-    to = network.to
-    cap = network.cap
-    twin = network.twin
-    indptr = network.indptr
-    total = 0
-    while True:
-        # BFS level graph over positive-residual arcs
-        level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            node = queue.popleft()
-            node_level = level[node] + 1
-            for e in range(indptr[node], indptr[node + 1]):
-                head = to[e]
-                if cap[e] > 0 and level[head] < 0:
-                    level[head] = node_level
-                    queue.append(head)
-        if level[t] < 0:
-            return total
-        # iterative DFS blocking flow with per-node arc pointers
-        pointers = [indptr[i] for i in range(n)]
-        path: List[int] = []
-        node = s
-        while True:
-            if node == t:
-                bottleneck = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= bottleneck
-                    cap[twin[e]] += bottleneck
-                total += bottleneck
-                # retreat to the first saturated arc on the path
-                for position, e in enumerate(path):
-                    if cap[e] == 0:
-                        del path[position:]
-                        node = to[twin[e]]
-                        break
-                continue
-            limit = indptr[node + 1]
-            e = pointers[node]
-            advanced = False
-            while e < limit:
-                if cap[e] > 0 and level[to[e]] == level[node] + 1:
-                    pointers[node] = e
-                    path.append(e)
-                    node = to[e]
-                    advanced = True
-                    break
-                e += 1
-            if advanced:
-                continue
-            pointers[node] = e
-            # dead end: retreat
-            level[node] = -1
-            if not path:
-                break
-            dead = path.pop()
-            node = to[twin[dead]]
-            pointers[node] += 1
 
 
 def min_cut_source_side(

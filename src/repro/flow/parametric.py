@@ -1,17 +1,19 @@
 """Warm parametric Dinkelbach: one push-relabel chain per component.
 
-The classic Dinkelbach loop in :mod:`repro.dense.all_densest` solves a
-fresh Goldberg network from scratch at every candidate density: each
-iteration re-saturates the source, re-floods the component and re-parks
-the periphery, so a three-iteration world pays for three cold flows.
+The classic Dinkelbach loop (object networks,
+:func:`repro.dense.all_densest.prepare_from_bound`) solves a fresh
+Goldberg network from scratch at every candidate density: each iteration
+re-saturates the source, re-floods the component and re-parks the
+periphery, so a three-iteration world pays for three cold flows.
 
-This module replaces that loop with the Gallo-Grigoriadis-Tarjan style
-*incremental* scheme, run on the **reversed** Goldberg network ``N'``
-(``source' = t``, ``sink' = s``; every arc reversed, same capacities,
-so ``maxflow(N') = maxflow(N)``).  Raising the candidate density
-``alpha = p / q`` only *raises source'-side arc capacities* in ``N'``
-(the reversed ``v -> t`` arcs, capacity ``2 p``), which is exactly the
-parametric update GGT's monotone scheme supports:
+This module is the vectorised engine's exact per-component stage: the
+Gallo-Grigoriadis-Tarjan style *incremental* scheme, run on the
+**reversed** Goldberg network ``N'`` (``source' = t``, ``sink' = s``;
+every arc reversed, same capacities, so ``maxflow(N') = maxflow(N)``).
+Raising the candidate density ``alpha = p / q`` only *raises
+source'-side arc capacities* in ``N'`` (the reversed ``v -> t`` arcs,
+capacity ``2 p``), which is exactly the parametric update GGT's
+monotone scheme supports:
 
 * saturate each capacity increment immediately, turning it into fresh
   excess at the graph nodes;
@@ -40,11 +42,18 @@ residual correspondence ``r_N(x -> y) = r_N'(y -> x)`` in exactly the
 arc layout :func:`repro.flow.csr.build_edge_density_network_csr`
 produces.  Downstream residual queries (SCC condensation, min-cut
 sides) are flow-invariant [Picard-Queyranne], so the results are
-byte-identical to the cold-restart loop's.
+byte-identical to the cold-restart loop's; the object
+:func:`~repro.dense.all_densest.prepare_from_bound` is the reference the
+tests pin this module against.
+
+If the exact density re-shrinks the component to a tighter core, the
+smaller network is solved cold with
+:func:`repro.flow.push_relabel.csr_push_relabel` instead of draining
+the chain.
 
 The pure-python implementation below is the always-available tier; the
-optional JIT tier (:mod:`repro.engine.jit`) compiles the same discharge
-loops over flat int64 arrays when numba is installed.
+optional JIT tier (:mod:`repro.engine.jit`) compiles the phase-1
+discharge loop over flat int64 arrays when numba is installed.
 """
 
 from __future__ import annotations
@@ -394,7 +403,7 @@ class ReverseChain:
         value = _jit.phase1_discharge(
             to, cap, twin, indptr, excess, height, count_at_height,
             pointers, in_queue, queue, 0, qtail,
-            net.source, net.sink, nodes, False,
+            net.source, net.sink, nodes,
         )
         net.cap[:] = cap.tolist()
         self.excess[:] = excess.tolist()
@@ -459,8 +468,8 @@ class ReverseChain:
     def drain(self) -> None:
         """Phase 2: return parked excess to the source' (preflow -> flow).
 
-        Mirrors ``_push_relabel(phase1_only=False)``: heights become
-        ``d(v, sink')``, or ``nodes + d(v, source')`` when the sink' is
+        Mirrors :func:`repro.flow.push_relabel.csr_push_relabel`: heights
+        become ``d(v, sink')``, or ``nodes + d(v, source')`` when the sink' is
         unreachable, and every excess node discharges until conservation
         holds -- after which the residual capacities describe a valid
         maximum flow.
@@ -601,11 +610,11 @@ def parametric_dinkelbach(
 ) -> Tuple[Fraction, CSRFlowNetwork, "SubWorldView"]:
     """Exact ``rho*`` of a connected component via one warm chain.
 
-    Drop-in replacement for the cold-restart Dinkelbach loop: same
-    contract (``bound`` is a positive achieved density ``<= rho*``;
-    returns ``(rho*, max-flowed forward network, possibly re-shrunk
-    view)``), same results (residual queries are flow-invariant), one
-    warm push-relabel chain instead of one cold flow per iteration.
+    Same contract as the cold-restart Dinkelbach loop (``bound`` is a
+    positive achieved density ``<= rho*``; returns ``(rho*, max-flowed
+    forward network, possibly re-shrunk view)``), same results (residual
+    queries are flow-invariant), one warm push-relabel chain instead of
+    one cold flow per iteration.
     """
     from .csr import build_edge_density_network_csr
     from .push_relabel import csr_push_relabel

@@ -1,177 +1,44 @@
-"""FIFO push-relabel maximum flow: object networks and the CSR port.
+"""FIFO push-relabel maximum flow over flat CSR networks.
 
-The library's reference max-flow engine is Dinic's algorithm
-(:mod:`repro.flow.maxflow`); this module provides the classic
-Goldberg-Tarjan FIFO push-relabel algorithm in two forms:
+:func:`csr_push_relabel` is the classic Goldberg-Tarjan FIFO
+push-relabel algorithm over the flat-array
+:class:`~repro.flow.csr.CSRFlowNetwork`: arcs are plain list entries
+instead of Python objects.  The vectorised engine's warm parametric
+chain (:func:`repro.flow.parametric.parametric_dinkelbach`) calls it to
+solve a component cold when the exact density re-shrinks the component
+to a tighter core.  Its tests pin it against the object Dinic
+:func:`repro.flow.maxflow.max_flow`.
 
-* :func:`push_relabel_max_flow` over the object
-  :class:`~repro.flow.network.FlowNetwork` (ablation / cross-check for
-  Dinic, ``benchmarks/bench_ablation_maxflow.py``);
-* :func:`csr_push_relabel` over the flat-array
-  :class:`~repro.flow.csr.CSRFlowNetwork` -- the hot per-world solver of
-  the vectorised engine's exact edge-density stage.  Same algorithm, but
-  arcs are plain list entries instead of Python objects, which removes
-  the attribute-chasing that dominated the per-world profile.
-
-Both run on exact ``int`` (or, for the object form, ``Fraction``)
-capacities and leave the network carrying a valid maximum flow, so all
-residual-graph queries (min-cut sides, SCC condensation) work identically
-afterwards -- and return flow-invariant answers, whichever solver ran.
+It runs on exact ``int`` capacities and leaves the network carrying a
+valid maximum flow, so all residual-graph queries (min-cut sides, SCC
+condensation) work afterwards -- and return flow-invariant answers,
+whichever solver ran.
 
 Implementation notes: FIFO active-node queue, per-node current-arc
-pointers, and the gap heuristic (when a height level empties, every node
+pointers, the gap heuristic (when a height level empties, every node
 above it is lifted past ``n``), which matters on the star-shaped networks
-Goldberg's construction produces.
+Goldberg's construction produces, and periodic global relabeling.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Tuple
 
 from .csr import CSRFlowNetwork
-from .network import Capacity, FlowNetwork, NetNode
-
-
-def push_relabel_max_flow(
-    network: FlowNetwork, source: NetNode, sink: NetNode
-) -> Capacity:
-    """Push a maximum flow from ``source`` to ``sink``; return its value.
-
-    Mutates arc flows in place (call ``network.reset_flow()`` to start
-    over), exactly like :func:`repro.flow.maxflow.max_flow`.
-    """
-    s = network.index_of(source)
-    t = network.index_of(sink)
-    if s == t:
-        raise ValueError("source and sink must differ")
-    n = network.number_of_nodes()
-    height = [0] * n
-    excess: List[Capacity] = [0] * n
-    height[s] = n
-    count_at_height = [0] * (2 * n + 2)
-    count_at_height[0] = n - 1
-    count_at_height[n] = 1
-
-    active: deque = deque()
-    in_queue = [False] * n
-
-    def enqueue(node: int) -> None:
-        if not in_queue[node] and node != s and node != t and excess[node] > 0:
-            in_queue[node] = True
-            active.append(node)
-
-    # saturate every arc out of the source
-    for arc in network.arcs_from(s):
-        if arc.capacity <= 0:
-            continue
-        delta = arc.residual()
-        if delta <= 0:
-            continue
-        arc.flow = arc.flow + delta
-        arc.reverse.flow = arc.reverse.flow - delta
-        excess[arc.head] = excess[arc.head] + delta
-        excess[s] = excess[s] - delta
-        enqueue(arc.head)
-
-    pointers = [0] * n
-
-    def relabel(node: int) -> None:
-        old = height[node]
-        smallest = 2 * n
-        for arc in network.arcs_from(node):
-            if arc.residual() > 0:
-                smallest = min(smallest, height[arc.head])
-        height[node] = smallest + 1
-        count_at_height[old] -= 1
-        count_at_height[height[node]] += 1
-        pointers[node] = 0
-        # gap heuristic: a now-empty level below n disconnects everything
-        # above it from the sink; lift those nodes past n in one step
-        if count_at_height[old] == 0 and old < n:
-            for other in range(n):
-                if old < height[other] <= n and other != s:
-                    count_at_height[height[other]] -= 1
-                    height[other] = n + 1
-                    count_at_height[n + 1] += 1
-
-    while active:
-        node = active.popleft()
-        in_queue[node] = False
-        arcs = network.arcs_from(node)
-        while excess[node] > 0:
-            if pointers[node] >= len(arcs):
-                relabel(node)
-                if height[node] > 2 * n:  # pragma: no cover - defensive
-                    break
-                continue
-            arc = arcs[pointers[node]]
-            if arc.residual() > 0 and height[node] == height[arc.head] + 1:
-                delta = min(excess[node], arc.residual())
-                arc.flow = arc.flow + delta
-                arc.reverse.flow = arc.reverse.flow - delta
-                excess[node] = excess[node] - delta
-                excess[arc.head] = excess[arc.head] + delta
-                enqueue(arc.head)
-            else:
-                pointers[node] += 1
-        if excess[node] > 0:  # pragma: no cover - defensive re-queue
-            enqueue(node)
-    return excess[t]
 
 
 def csr_push_relabel(network: CSRFlowNetwork) -> int:
     """Push a maximum flow through a :class:`CSRFlowNetwork`; return its value.
 
     Mutates ``network.cap`` in place (it holds residual capacities), so
-    the residual queries on the network are valid afterwards.  The flat
-    twin of :func:`push_relabel_max_flow` -- FIFO queue, current-arc
-    pointers, gap heuristic, arcs in tail-sorted lists with an explicit
-    ``twin`` array -- plus *global relabeling*: heights are periodically
-    recomputed as exact residual BFS distances (``d(v, t)``, or
-    ``n + d(v, s)`` for nodes that can no longer reach the sink), which
-    is what keeps the excess-return phase from climbing heights one
-    relabel at a time on Goldberg's star-shaped networks.
+    the residual queries on the network are valid afterwards.  FIFO
+    queue, current-arc pointers, gap heuristic, arcs in tail-sorted lists
+    with an explicit ``twin`` array -- plus *global relabeling*: heights
+    are periodically recomputed as exact residual BFS distances
+    (``d(v, t)``, or ``n + d(v, s)`` for nodes that can no longer reach
+    the sink), which is what keeps the excess-return phase from climbing
+    heights one relabel at a time on Goldberg's star-shaped networks.
     """
-    value, _cut = _push_relabel(network, phase1_only=False)
-    return value
-
-
-def csr_max_preflow_min_cut(network: CSRFlowNetwork) -> Tuple[int, List[bool]]:
-    """First-phase push-relabel: max-flow *value* and a min-cut source side.
-
-    Runs push-relabel but never processes nodes lifted to height >= n,
-    leaving their excess parked (the classic two-phase scheme).  Returns
-    ``(value, side)`` where ``value`` is the maximum-flow value (a max
-    preflow reaches the sink with exactly the max-flow amount) and
-    ``side[v]`` flags the source side of a minimum cut
-    (``height[v] >= n`` at termination).
-
-    ``network.cap`` is left holding a max *preflow* residual, which is
-    generally NOT a valid flow -- residual queries are only meaningful if
-    ``value`` equals the network's total source capacity, in which case
-    no excess was parked anywhere and the preflow is a maximum flow.
-    (Goldberg's edge-density networks certify exactly in that case:
-    total source capacity is ``2 m q``, the certification target.)
-
-    When the JIT tier is active (:mod:`repro.engine.jit`) the discharge
-    runs as the compiled flat-array port; capacities beyond ``int64``
-    fall back to the exact python loop.  Either path leaves the same
-    kind of max-preflow residual (answers to flow-invariant queries are
-    identical; see :mod:`repro.flow.parametric`).
-    """
-    from ..engine import jit
-
-    if jit.jit_active():
-        result = jit.preflow_phase1(network)
-        if result is not None:
-            return result
-    return _push_relabel(network, phase1_only=True)
-
-
-def _push_relabel(
-    network: CSRFlowNetwork, phase1_only: bool
-) -> Tuple[int, List[bool]]:
     n = network.num_nodes
     s = network.source
     t = network.sink
@@ -210,20 +77,10 @@ def _push_relabel(
             height[i] = infinity
         height[t] = 0
         height[s] = n
-        # backward BFS from the sink: d(v, t) over residual arcs v -> ...
-        queue = deque([t])
-        while queue:
-            v = queue.popleft()
-            dist = height[v] + 1
-            for e in range(indptr[v], indptr[v + 1]):
-                u = to[e]
-                # residual arc u -> v is the twin of v -> u
-                if cap[twin[e]] > 0 and height[u] == infinity:
-                    height[u] = dist
-                    queue.append(u)
-        if not phase1_only:
-            # backward BFS from the source: n + d(v, s) for the rest
-            queue = deque([s])
+        # backward BFS from the sink, d(v, t), then from the source,
+        # n + d(v, s), over residual arcs u -> v (the twins of v -> u)
+        for start in (t, s):
+            queue = deque([start])
             while queue:
                 v = queue.popleft()
                 dist = height[v] + 1
@@ -232,7 +89,6 @@ def _push_relabel(
                     if cap[twin[e]] > 0 and height[u] == infinity:
                         height[u] = dist
                         queue.append(u)
-        cutoff = n if phase1_only else infinity
         for level in range(2 * n + 2):
             count_at_height[level] = 0
         for i in range(n):
@@ -241,7 +97,7 @@ def _push_relabel(
             in_queue[i] = False
         active.clear()
         for i in range(n):
-            if excess[i] > 0 and i != s and i != t and height[i] < cutoff:
+            if excess[i] > 0 and i != s and i != t and height[i] < infinity:
                 in_queue[i] = True
                 push_queue(i)
 
@@ -270,8 +126,6 @@ def _push_relabel(
     while active:
         node = active.popleft()
         in_queue[node] = False
-        if phase1_only and height[node] >= n:
-            continue  # lifted past the cut while queued; excess stays parked
         limit = indptr[node + 1]
         node_excess = excess[node]
         while node_excess > 0:
@@ -284,9 +138,6 @@ def _push_relabel(
                     relabels_since_global = 0
                     global_relabel()
                     node_excess = 0  # re-queued (if still routable) above
-                    break
-                if phase1_only and height[node] >= n:
-                    node_excess = 0  # parked above the cut from now on
                     break
                 node_excess = excess[node]
                 if height[node] > 2 * n:  # pragma: no cover - defensive
@@ -312,11 +163,9 @@ def _push_relabel(
                 pointers[node] = e + 1
         else:
             excess[node] = node_excess
-        if phase1_only and height[node] >= n:
-            continue  # parked: its excess never re-enters the queue
         if (  # pragma: no cover - defensive re-queue
             excess[node] > 0 and not in_queue[node] and node != s and node != t
         ):
             in_queue[node] = True
             push_queue(node)
-    return excess[t], [h >= n for h in height]
+    return excess[t]

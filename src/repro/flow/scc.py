@@ -3,7 +3,9 @@
 Used to condense the residual graph of a maximum flow into its SCC DAG
 (line 7 of Algorithms 2 and 4; the [46] enumeration for edge density).
 
-The implementation is iterative so deep residual graphs do not hit Python's
+Object flow networks are condensed over their node indices too
+(:func:`repro.dense.component_enum.build_component_structure`).  The
+implementation is iterative so deep residual graphs do not hit Python's
 recursion limit.
 """
 
@@ -14,75 +16,18 @@ from typing import Callable, Dict, Hashable, Iterable, List
 Vertex = Hashable
 
 
-def strongly_connected_components(
-    vertices: Iterable[Vertex],
-    successors: Callable[[Vertex], Iterable[Vertex]],
-) -> List[List[Vertex]]:
-    """Return the SCCs of the graph given by ``vertices`` and ``successors``.
-
-    Components are returned in reverse topological order of the condensation
-    (every edge of the SCC DAG goes from a later component to an earlier one
-    in the returned list), which is the order Tarjan's algorithm emits.
-    """
-    index_counter = 0
-    indices: Dict[Vertex, int] = {}
-    lowlink: Dict[Vertex, int] = {}
-    on_stack: Dict[Vertex, bool] = {}
-    stack: List[Vertex] = []
-    components: List[List[Vertex]] = []
-
-    for root in vertices:
-        if root in indices:
-            continue
-        # each frame: (vertex, iterator over its successors)
-        work = [(root, iter(successors(root)))]
-        indices[root] = lowlink[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            vertex, successor_iter = work[-1]
-            advanced = False
-            for child in successor_iter:
-                if child not in indices:
-                    indices[child] = lowlink[child] = index_counter
-                    index_counter += 1
-                    stack.append(child)
-                    on_stack[child] = True
-                    work.append((child, iter(successors(child))))
-                    advanced = True
-                    break
-                if on_stack.get(child, False):
-                    lowlink[vertex] = min(lowlink[vertex], indices[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[vertex])
-            if lowlink[vertex] == indices[vertex]:
-                component: List[Vertex] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == vertex:
-                        break
-                components.append(component)
-    return components
-
-
 def strongly_connected_components_indexed(
     num_nodes: int,
     vertices: Iterable[int],
     successors: Callable[[int], Iterable[int]],
 ) -> List[List[int]]:
-    """Array-backed Tarjan for integer vertices in ``[0, num_nodes)``.
+    """Return the SCCs of the graph given by ``vertices`` and ``successors``.
 
-    Semantically identical to :func:`strongly_connected_components`
-    (same emission order -- reverse topological), but bookkeeping lives
-    in flat lists instead of dicts, which is measurably faster on the
-    per-world residual condensations of the CSR flow pipeline.
+    Vertices are integers in ``[0, num_nodes)``, so the Tarjan
+    bookkeeping lives in flat lists.  Components are returned in reverse
+    topological order of the condensation (every edge of the SCC DAG goes
+    from a later component to an earlier one in the returned list), which
+    is the order Tarjan's algorithm emits.
     """
     UNSEEN = -1
     index_counter = 0

@@ -273,16 +273,6 @@ class Session:
             # (single-flight -- the serving tier's batching counters)
             "store_waits": 0,
             "eval_waits": 0,
-            # per-stage evaluation split (vectorized / jit engines only):
-            # seconds spent producing worlds, running the batched cheap
-            # filtering stages, and solving the exact edge-density
-            # networks -- plus how many worlds the batched pre-pass
-            # primed and how many it dismissed as edgeless
-            "eval_sampling_seconds": 0.0,
-            "eval_bound_seconds": 0.0,
-            "eval_exact_seconds": 0.0,
-            "worlds_primed": 0,
-            "worlds_filtered": 0,
             # dynamic-graph maintenance ledger (Session.update): how
             # many deltas were applied, how much work surgery actually
             # did (columns re-drawn in place, worlds whose edge sets
@@ -308,17 +298,6 @@ class Session:
         """Increment one stats counter under the session lock."""
         with self._lock:
             self.stats[counter] += n
-
-    def _absorb_stage_stats(self, stage: Optional[dict]) -> None:
-        """Merge an :meth:`EngineMeasure.stage_stats` dict into stats."""
-        if not stage:
-            return
-        with self._lock:
-            self.stats["eval_sampling_seconds"] += stage.get("sampling", 0.0)
-            self.stats["eval_bound_seconds"] += stage.get("bound", 0.0)
-            self.stats["eval_exact_seconds"] += stage.get("exact", 0.0)
-            self.stats["worlds_primed"] += stage.get("primed", 0)
-            self.stats["worlds_filtered"] += stage.get("filtered", 0)
 
     def stats_snapshot(self) -> dict:
         """A consistent copy of :attr:`stats` (safe to read while other
@@ -1059,12 +1038,9 @@ class Query:
     def _evaluate(self, mode, worlds, loop_measure, engine_measure):
         """Evaluate a world stream in-process into ``(records,
         replayed)`` through :func:`repro.core.parallel.evaluate_records`."""
-        records, replayed = evaluate_records(
+        return evaluate_records(
             mode, worlds, loop_measure, engine_measure, *self._knobs(mode)
         )
-        if engine_measure is not None:
-            self._session._absorb_stage_stats(engine_measure.stage_stats())
-        return records, replayed
 
     def _finalize(self, mode, records, replayed):
         """Rank cached records -- the only per-query work on a warm hit."""

@@ -56,6 +56,26 @@ def brute_force_all_densest(
     return best, result
 
 
+def brute_force_min_cut(network, source, sink):
+    """Smallest ``source``-``sink`` cut capacity over every source side.
+
+    Exponential in the node count: a max-flow oracle for tiny networks
+    only (max-flow min-cut theorem).
+    """
+    s, t = network.index_of(source), network.index_of(sink)
+    inner = [i for i in range(network.number_of_nodes()) if i not in (s, t)]
+    arcs = [(arc.tail, arc.head, arc.capacity) for arc in network.arcs()]
+    best = None
+    for bits in range(1 << len(inner)):
+        side = {s} | {v for k, v in enumerate(inner) if bits >> k & 1}
+        cut = sum(
+            c for tail, head, c in arcs if tail in side and head not in side
+        )
+        if best is None or cut < best:
+            best = cut
+    return best
+
+
 @pytest.fixture
 def rng() -> random.Random:
     """A deterministic RNG per test."""

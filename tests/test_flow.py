@@ -1,4 +1,4 @@
-"""Tests for the max-flow substrate (Dinic, residual graph, SCCs)."""
+"""Tests for the max-flow substrate (Dinic, residual graph, indexed SCCs)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,10 @@ from repro.flow.maxflow import (
     min_cut_source_side,
 )
 from repro.flow.network import FlowNetwork
-from repro.flow.scc import condensation_successors, strongly_connected_components
+from repro.flow.scc import (
+    condensation_successors,
+    strongly_connected_components_indexed,
+)
 
 
 class TestMaxFlowBasics:
@@ -135,24 +138,24 @@ class TestMinCutSides:
 class TestSCC:
     def test_simple_cycle(self):
         adjacency = {1: [2], 2: [3], 3: [1], 4: [1]}
-        components = strongly_connected_components(
-            adjacency, lambda v: adjacency.get(v, [])
+        components = strongly_connected_components_indexed(
+            5, adjacency, lambda v: adjacency.get(v, [])
         )
         as_sets = {frozenset(c) for c in components}
         assert as_sets == {frozenset({1, 2, 3}), frozenset({4})}
 
     def test_reverse_topological_emission(self):
         adjacency = {1: [2], 2: [3], 3: []}
-        components = strongly_connected_components(
-            adjacency, lambda v: adjacency.get(v, [])
+        components = strongly_connected_components_indexed(
+            5, adjacency, lambda v: adjacency.get(v, [])
         )
         order = [c[0] for c in components]
         assert order == [3, 2, 1]
 
     def test_condensation(self):
         adjacency = {1: [2], 2: [1, 3], 3: [4], 4: [3]}
-        components = strongly_connected_components(
-            adjacency, lambda v: adjacency.get(v, [])
+        components = strongly_connected_components_indexed(
+            5, adjacency, lambda v: adjacency.get(v, [])
         )
         dag = condensation_successors(
             components, lambda v: adjacency.get(v, [])
@@ -176,8 +179,8 @@ class TestSCC:
                 adjacency[u].append(v)
             ours = {
                 frozenset(c)
-                for c in strongly_connected_components(
-                    range(n), lambda v: adjacency[v]
+                for c in strongly_connected_components_indexed(
+                    n, range(n), lambda v: adjacency[v]
                 )
             }
             nxg = nx.DiGraph(edges)

@@ -26,8 +26,9 @@ from repro.dense.kclistpp import kclistpp_densest
 from repro.dense.peeling import peel_edge_density
 from repro.flow.network import FlowNetwork
 from repro.flow.maxflow import max_flow
-from repro.flow.push_relabel import push_relabel_max_flow
 from repro.graph.graph import Graph
+
+from .conftest import brute_force_min_cut
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +52,9 @@ def small_graphs(draw, max_nodes: int = 9) -> Graph:
 def small_networks(draw):
     """A random flow network on 3..8 nodes with integer capacities."""
     n = draw(st.integers(min_value=3, max_value=8))
-    network_a = FlowNetwork()
-    network_b = FlowNetwork()
+    network = FlowNetwork()
     for node in range(n):
-        network_a.add_node(node)
-        network_b.add_node(node)
+        network.add_node(node)
     arcs = draw(
         st.lists(
             st.tuples(
@@ -70,9 +69,8 @@ def small_networks(draw):
     for u, v, capacity in arcs:
         if u == v:
             continue
-        network_a.add_arc(u, v, capacity)
-        network_b.add_arc(u, v, capacity)
-    return network_a, network_b, n
+        network.add_arc(u, v, capacity)
+    return network, n
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +147,23 @@ def test_maximum_sized_densest_is_union_of_all(graph: Graph):
 
 
 # ---------------------------------------------------------------------------
-# max-flow backend agreement
+# max-flow against the brute-force minimum cut
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(small_networks())
-def test_dinic_and_push_relabel_agree(networks):
-    network_a, network_b, n = networks
-    assert max_flow(network_a, 0, n - 1) == push_relabel_max_flow(
-        network_b, 0, n - 1
+def test_dinic_matches_brute_force_min_cut(networks):
+    network, n = networks
+    assert max_flow(network, 0, n - 1) == brute_force_min_cut(
+        network, 0, n - 1
     )
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_networks())
-def test_push_relabel_conserves_flow_at_internal_nodes(networks):
-    _, network, n = networks
-    push_relabel_max_flow(network, 0, n - 1)
+def test_dinic_conserves_flow_at_internal_nodes(networks):
+    network, n = networks
+    max_flow(network, 0, n - 1)
     for node in range(1, n - 1):
         net_out = sum(arc.flow for arc in network.arcs_from(node))
         assert net_out == 0

@@ -24,8 +24,7 @@ from repro.dense.peeling import _peel_arrays
 from repro.engine import jit
 from repro.engine.estimators import resolve_engine
 from repro.engine.indexed import IndexedGraph, MaskWorld
-from repro.flow.csr import build_edge_density_network_csr
-from repro.flow.push_relabel import csr_max_preflow_min_cut
+from repro.flow.parametric import ReverseChain
 from repro.graph.uncertain import UncertainGraph
 
 from .conftest import random_uncertain_graph
@@ -116,13 +115,10 @@ class TestPeelPort:
 
 
 class TestPreflowPort:
-    """phase-1 discharge port vs the classic list-based implementation."""
+    """JIT phase-1 discharge vs the python :meth:`ReverseChain.run`."""
 
-    def networks_for(self, view, alpha):
-        build = lambda: build_edge_density_network_csr(  # noqa: E731
-            view.n, view.edge_lu, view.edge_lv, view.degrees(), alpha
-        )
-        return build(), build()
+    def chains_for(self, view, alpha):
+        return ReverseChain(view, alpha), ReverseChain(view, alpha)
 
     @pytest.mark.parametrize("seed", [0, 5, 23])
     def test_value_and_cut_certificate(self, seed):
@@ -132,49 +128,58 @@ class TestPreflowPort:
             if not world.mask.any():
                 continue
             view = world.view()
-            alpha = Fraction(view.m, view.n)
-            classic_net, jit_net = self.networks_for(view, alpha)
-            value, _cut = csr_max_preflow_min_cut(classic_net)
-            result = jit.preflow_phase1(jit_net)
-            assert result is not None
-            jit_value, jit_cut = result
-            assert jit_value == value
-            # the height cut must be a genuine min cut: no residual arc
-            # may cross from the source side to the sink side
-            for node in range(jit_net.num_nodes):
-                if not jit_cut[node]:
-                    continue
-                lo, hi = jit_net.indptr[node], jit_net.indptr[node + 1]
-                for e in range(lo, hi):
-                    if not jit_cut[jit_net.to[e]]:
-                        assert jit_net.cap[e] == 0
+            python, ported = self.chains_for(view, Fraction(view.m, view.n))
+            value = python.run()
+            assert ported._run_jit() == value
+            # the port is a step-for-step twin: the whole preflow state,
+            # and with it the height cut the witness reads, is identical
+            assert ported.height == python.height
+            assert ported.excess == python.excess
+            assert ported.net.cap == python.net.cap
+            assert (ported.witness() == python.witness()).all()
 
     def test_dispatch_through_tier_matches_value(self):
-        rng = random.Random(11)
-        world = random_world(rng, 10, 0.55, 0.9)
-        view = world.view()
-        alpha = Fraction(view.m, view.n)
-        classic_net, tier_net = self.networks_for(view, alpha)
-        value, _ = csr_max_preflow_min_cut(classic_net)
+        # a warm chain resumed through the tier: run, raise alpha to the
+        # improving witness's density, run again
+        # K5 with a pendant path: whole-graph density 3/2, rho* = 2
+        edges = [(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)]
+        edges += [(i, i + 1, 1.0) for i in range(4, 9)]
+        indexed = IndexedGraph.from_uncertain(
+            UncertainGraph.from_weighted_edges(edges)
+        )
+        view = MaskWorld(indexed, np.ones(indexed.m, dtype=bool)).view()
+        python, tiered = self.chains_for(view, Fraction(view.m, view.n))
+        assert python.run() == self._tier_run(tiered)
+        member = python.witness()
+        size = int(member.sum())
+        num = view.induced_edges(member)
+        assert num * python.den > python.num * size  # witness improves
+        for chain in (python, tiered):
+            chain.increment(num, size)
+        assert python.run() == self._tier_run(tiered)
+        assert tiered.height == python.height
+
+    @staticmethod
+    def _tier_run(chain):
         with jit.use_jit(True):
-            tier_value, _ = csr_max_preflow_min_cut(tier_net)
-        assert tier_value == value
+            return chain.run()
 
     def test_overflow_falls_back_to_python(self):
         rng = random.Random(2)
         world = random_world(rng, 6, 0.6, 1.0)
         view = world.view()
-        alpha = Fraction(view.m, view.n)
-        classic_net, huge_net = self.networks_for(view, alpha)
-        huge_net.cap[0] = 1 << 70  # beyond int64: port must decline
-        assert jit.preflow_phase1(huge_net) is None
-        classic_net.cap[0] = 1 << 70
+        python, tiered = self.chains_for(view, Fraction(view.m, view.n))
+        # an increment over a huge denominator rescales every capacity
+        # beyond int64, as a long chain's common denominator can
+        den = 1 << 70
+        num = view.m * den // view.n + 1
+        for chain in (python, tiered):
+            chain.increment(num, den)
         with jit.use_jit(True):
-            tiered = csr_max_preflow_min_cut(classic_net)
-        fresh_a, fresh_b = self.networks_for(view, alpha)
-        fresh_a.cap[0] = 1 << 70
-        plain = csr_max_preflow_min_cut(fresh_a)
-        assert tiered == plain
+            assert tiered._run_jit() is None
+            value = tiered.run()
+        assert value == python.run()
+        assert value > np.iinfo(np.int64).max
 
 
 class TestEndToEndUnderJit:

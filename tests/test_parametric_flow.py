@@ -1,12 +1,13 @@
 """Differential gate for the warm reverse-parametric Dinkelbach solver.
 
-:func:`repro.flow.parametric.parametric_dinkelbach` replaces the classic
-cold-restart Dinkelbach loop as the exact per-component stage of the
-vectorised engine.  These tests pin it against the preserved reference
-implementation (:func:`_dinkelbach_component_cold`) on random connected
-worlds: identical ``rho*``, identical (possibly re-shrunk) views, and a
-flow-invariant residual condensation -- the downstream enumeration sees
-exactly the same densest-subgraph family either way.  The
+:func:`repro.flow.parametric.parametric_dinkelbach` is the exact
+per-component stage of the vectorised engine.  These tests pin it
+against the object pipeline
+(:func:`repro.dense.all_densest.prepare_from_bound` on the materialised
+component, object Dinic flows) on random connected worlds: identical
+``rho*``, identical (possibly re-shrunk) cores, identical maximal sets,
+and a flow-invariant residual condensation -- the downstream enumeration
+sees exactly the same densest-subgraph family either way.  The
 bound-independence contract (any achieved density seeds the chain
 without changing results) is pinned too, because the batched lockstep
 peel bound relies on it.
@@ -22,8 +23,9 @@ import pytest
 
 from repro.dense.all_densest import (
     _component_residual_structure,
-    _dinkelbach_component_cold,
+    prepare_from_bound,
 )
+from repro.dense.kcore import k_core
 from repro.dense.peeling import peel_edge_density_csr
 from repro.engine.indexed import IndexedGraph, MaskWorld
 from repro.flow.parametric import ReverseChain, parametric_dinkelbach
@@ -66,15 +68,16 @@ def canonical_structure(structure):
     }
 
 
-def solve_both(view, bound):
-    """Run the warm chain and the cold loop on independent views."""
-    warm = parametric_dinkelbach(view, bound)
-    cold = _dinkelbach_component_cold(view, bound)
-    return warm, cold
+def reference_core_labels(graph, rho):
+    """Nodes of the core the object pipeline finishes on at ``rho``."""
+    shrunken = k_core(graph, -(-rho.numerator // rho.denominator))
+    if shrunken.number_of_edges() == 0:
+        return frozenset(graph.nodes())
+    return frozenset(shrunken.nodes())
 
 
 class TestParametricMatchesCold:
-    """The warm chain must reproduce the cold loop's exact results."""
+    """The warm chain must reproduce the object pipeline's cold solve."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 23])
     @pytest.mark.parametrize("extra", [0, 2, 8])
@@ -84,20 +87,19 @@ class TestParametricMatchesCold:
             world = connected_world(rng, rng.randint(2, 12), extra)
             view = world.view()
             bound = Fraction(view.m, view.n)
-            (w_rho, w_net, w_view), (c_rho, c_net, c_view) = solve_both(
-                view, bound
+            graph = view.materialize()
+            w_rho, w_net, w_view = parametric_dinkelbach(view, bound)
+            reference = prepare_from_bound(graph, bound)
+            assert w_rho == reference.density
+            assert frozenset(w_view.labels()) == reference_core_labels(
+                graph, w_rho
             )
-            assert w_rho == c_rho
-            assert frozenset(w_view.labels()) == frozenset(c_view.labels())
             w_structure, w_maximal = _component_residual_structure(
                 w_net, w_view
             )
-            c_structure, c_maximal = _component_residual_structure(
-                c_net, c_view
-            )
-            assert w_maximal == c_maximal
+            assert w_maximal == reference.maximal_nodes
             assert canonical_structure(w_structure) == canonical_structure(
-                c_structure
+                reference.structure
             )
 
     def test_returned_network_is_max_flowed(self):
