@@ -44,6 +44,7 @@ from typing import Optional, Sequence, Union
 
 from .core.exact import exact_top_k_mpds
 from .core.measures import DensityMeasure
+from .core.results import _node_list
 from .graph.io import read_uncertain_edge_list
 from .graph.uncertain import edge_probability_statistics
 from .session import Session
@@ -130,7 +131,7 @@ def _add_engine_and_workers(parser: argparse.ArgumentParser) -> None:
 
 def _print_scored(scored_sets, label: str) -> None:
     for rank, scored in enumerate(scored_sets, 1):
-        nodes = " ".join(map(str, sorted(scored.nodes, key=repr)))
+        nodes = " ".join(map(str, _node_list(scored.nodes)))
         print(f"{rank}\t{scored.probability:.6f}\t{label}\t{nodes}")
 
 

@@ -15,7 +15,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..graph.graph import Node
 from ..graph.uncertain import UncertainGraph
 from .measures import DensityMeasure, EdgeDensity
-from .results import MPDSResult, NDSResult, NodeSet, ScoredNodeSet
+from .mpds import rank_top_k
+from .results import MPDSResult, NDSResult, NodeSet
 
 
 def exact_candidate_probabilities(
@@ -73,14 +74,9 @@ def exact_top_k_mpds(
 ) -> MPDSResult:
     """Return the exact top-k MPDS (Problem 2) by full enumeration."""
     taus = exact_candidate_probabilities(graph, measure)
-    ranked = sorted(
-        taus.items(),
-        key=lambda item: (-item[1], len(item[0]), sorted(map(repr, item[0]))),
-    )
-    top = [ScoredNodeSet(nodes, tau) for nodes, tau in ranked[:k]]
     worlds_with_densest = sum(1 for _ in taus)  # informational only
     return MPDSResult(
-        top=top,
+        top=rank_top_k(taus.items(), k),
         candidates=dict(taus),
         theta=0,
         worlds_with_densest=worlds_with_densest,
@@ -113,14 +109,16 @@ def exact_top_k_nds(
     from ..itemsets.tfp import naive_closed_itemsets
 
     closed = naive_closed_itemsets([list(m) for m, _ in worlds], min_size)
-    scored: List[ScoredNodeSet] = []
-    for itemset in closed:
-        gamma = sum(p for maximal, p in worlds if itemset.items <= maximal)
-        scored.append(ScoredNodeSet(frozenset(itemset.items), gamma))
-    scored.sort(
-        key=lambda s: (-s.probability, len(s.nodes), sorted(map(repr, s.nodes)))
+    scored = [
+        (
+            frozenset(itemset.items),
+            sum(p for maximal, p in worlds if itemset.items <= maximal),
+        )
+        for itemset in closed
+    ]
+    return NDSResult(
+        top=rank_top_k(scored, k), theta=0, transactions=len(worlds)
     )
-    return NDSResult(top=scored[:k], theta=0, transactions=len(worlds))
 
 
 def exact_expected_densities(

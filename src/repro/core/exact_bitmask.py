@@ -45,7 +45,8 @@ from .measures import (
     NodeSet,
     PatternDensity,
 )
-from .results import MPDSResult, ScoredNodeSet
+from .mpds import rank_top_k
+from .results import MPDSResult
 
 #: refuse to allocate more than this many world slots (2^26 = 512 MiB of
 #: float64 probabilities)
@@ -297,17 +298,19 @@ def bitmask_top_k_nds(
     closed = naive_closed_itemsets(
         [list(maximal) for maximal, _ in maximal_sets], min_size
     )
-    scored: List[ScoredNodeSet] = []
-    for itemset in closed:
-        gamma = sum(
-            weight for maximal, weight in maximal_sets
-            if itemset.items <= maximal
+    scored = [
+        (
+            frozenset(itemset.items),
+            sum(
+                weight for maximal, weight in maximal_sets
+                if itemset.items <= maximal
+            ),
         )
-        scored.append(ScoredNodeSet(frozenset(itemset.items), gamma))
-    scored.sort(
-        key=lambda s: (-s.probability, len(s.nodes), sorted(map(repr, s.nodes)))
+        for itemset in closed
+    ]
+    return NDSResult(
+        top=rank_top_k(scored, k), theta=0, transactions=len(maximal_sets)
     )
-    return NDSResult(top=scored[:k], theta=0, transactions=len(maximal_sets))
 
 
 def bitmask_top_k_mpds(
@@ -324,13 +327,8 @@ def bitmask_top_k_mpds(
     taus = bitmask_candidate_probabilities(
         graph, measure, max_edges=max_edges, max_nodes=max_nodes
     )
-    ranked = sorted(
-        taus.items(),
-        key=lambda item: (-item[1], len(item[0]), sorted(map(repr, item[0]))),
-    )
-    top = [ScoredNodeSet(nodes, tau) for nodes, tau in ranked[:k]]
     return MPDSResult(
-        top=top,
+        top=rank_top_k(taus.items(), k),
         candidates=dict(taus),
         theta=0,
         worlds_with_densest=len(taus),

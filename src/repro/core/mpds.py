@@ -13,6 +13,7 @@ shows can understate probabilities by up to 20x (Section VI-D).
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..graph.uncertain import UncertainGraph
@@ -48,6 +49,36 @@ def evaluate_worlds(
         yield densest_sets, weighted.weight
 
 
+def _rank_key(item: Tuple[NodeSet, float]) -> tuple:
+    nodes, probability = item
+    return -probability, len(nodes), sorted(map(repr, nodes))
+
+
+def rank_top_k(
+    scored: Iterable[Tuple[NodeSet, float]], k: int
+) -> List[ScoredNodeSet]:
+    """The first ``k`` ``(nodes, probability)`` pairs in rank order.
+
+    Rank order is decreasing probability, then increasing size, then the
+    repr-sorted member lists; full ties keep their input order (the sort
+    is stable).  The repr key is the expensive part, so it is built only
+    for the pairs whose ``(-probability, size)`` key is at most the k-th
+    smallest such key.  That subset holds at least ``k`` pairs, every
+    pair outside it ranks below every pair inside it, and the stable
+    sort of the subset orders it exactly as the full sort does.  ``k``
+    slices like ``ranked[:k]``.
+    """
+    items = list(scored)
+    if 0 < k < len(items):
+        keys = [(-probability, len(nodes)) for nodes, probability in items]
+        boundary = heapq.nsmallest(k, keys)[-1]
+        items = [item for item, key in zip(items, keys) if key <= boundary]
+    items.sort(key=_rank_key)
+    return [
+        ScoredNodeSet(nodes, probability) for nodes, probability in items[:k]
+    ]
+
+
 def finalize_mpds(records: Iterable[WorldRecord], k: int) -> MPDSResult:
     """Accumulate per-world records into the ranked Algorithm 1 result.
 
@@ -77,13 +108,8 @@ def finalize_mpds(records: Iterable[WorldRecord], k: int) -> MPDSResult:
         estimates = {
             nodes: weight / total_weight for nodes, weight in estimates.items()
         }
-    ranked = sorted(
-        estimates.items(),
-        key=lambda item: (-item[1], len(item[0]), sorted(map(repr, item[0]))),
-    )
-    top = [ScoredNodeSet(nodes, prob) for nodes, prob in ranked[:k]]
     return MPDSResult(
-        top=top,
+        top=rank_top_k(estimates.items(), k),
         candidates=estimates,
         theta=actual_theta,
         worlds_with_densest=worlds_with_densest,

@@ -102,6 +102,12 @@ class MPDSResult(SerializableResult):
         ``per_world_limit`` (the truncated subset is order-sensitive, so
         the replay keeps it byte-identical across engines).  Always 0 on
         the pure-Python engine.
+
+    A session query hands the result its evaluation-cache entry's
+    canonical-order memo (node set -> :func:`_node_list` form) as the
+    private ``_canonical``, so ``to_dict`` sorts each candidate once per
+    entry instead of once per call.  It takes no part in equality or
+    ``repr``.
     """
 
     kind = "mpds"
@@ -112,6 +118,9 @@ class MPDSResult(SerializableResult):
     worlds_with_densest: int
     densest_counts: List[int] = field(default_factory=list)
     replayed_worlds: int = 0
+    _canonical: Dict[NodeSet, list] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def top_sets(self) -> List[NodeSet]:
         """Return just the node sets of the top-k, in rank order."""
@@ -124,13 +133,18 @@ class MPDSResult(SerializableResult):
         return self.top[0]
 
     def to_dict(self) -> dict:
+        canonical = self._canonical
+        candidates = []
+        for nodes, probability in self.candidates.items():
+            listed = canonical.get(nodes)
+            if listed is None:
+                listed = canonical[nodes] = _node_list(nodes)
+            # a copy: callers may mutate what to_dict returns
+            candidates.append([listed[:], probability])
         return {
             "kind": self.kind,
             "top": [scored.to_dict() for scored in self.top],
-            "candidates": [
-                [_node_list(nodes), probability]
-                for nodes, probability in self.candidates.items()
-            ],
+            "candidates": candidates,
             "theta": self.theta,
             "worlds_with_densest": self.worlds_with_densest,
             "densest_counts": list(self.densest_counts),

@@ -149,14 +149,31 @@ class _StaleEval:
     per-world.  Repeated updates union their flips into ``dirty``.
     Only entries whose original evaluation replayed zero truncated
     worlds are marked (a truncated entry's replay attribution is not
-    per-world, so updates drop it instead).
+    per-world, so updates drop it instead).  ``canonical`` is the
+    entry's canonical-order memo, carried over to the patched entry
+    minus the node sets its fresh records no longer hold.
     """
 
-    __slots__ = ("records", "dirty")
+    __slots__ = ("records", "dirty", "canonical")
 
-    def __init__(self, records: list, dirty: set) -> None:
+    def __init__(self, records: list, dirty: set, canonical: dict) -> None:
         self.records = records
         self.dirty = dirty
+        self.canonical = canonical
+
+
+def _live_canonical(canonical: dict, records: list) -> dict:
+    """The part of an MPDS entry's canonical-order memo that its
+    ``records`` still hold as candidates (so it cannot grow across
+    updates).  A list depends only on its set's members, so whatever
+    survives is still exact."""
+    live = {}
+    for densest_sets, _weight in records:
+        for nodes in densest_sets:
+            listed = canonical.get(nodes)
+            if listed is not None:
+                live[nodes] = listed
+    return live
 
 
 def _measure_key(measure: DensityMeasure) -> Optional[Tuple]:
@@ -224,7 +241,8 @@ class Session:
     evicted -- every distinct seeded ``(sampler, theta, seed)`` draw
     pins its ``(T, m)`` mask matrix (see ``WorldStore.nbytes``), and
     every distinct (draw, measure, engine, knobs) combination pins its
-    per-world records, until :meth:`close`.  Size sessions to a working
+    per-world records (MPDS ones also the serialized node list of each
+    live candidate), until :meth:`close`.  Size sessions to a working
     set (typically one or a few draws queried many ways -- where the
     amortization lives); for unbounded-diversity traffic, close and
     recreate sessions at natural boundaries rather than holding one
@@ -251,8 +269,9 @@ class Session:
         #: eval key -> Event set when the leader's records land (or fail)
         self._eval_flights: Dict[Tuple, threading.Event] = {}
         self._stores: Dict[Tuple, object] = {}
-        #: (store key, measure key, engine, ...) -> (records, replayed)
-        self._eval_cache: Dict[Tuple, Tuple[list, int]] = {}
+        #: (store key, measure key, engine, ...) -> (records, replayed,
+        #: canonical-order memo that MPDS results serialize through)
+        self._eval_cache: Dict[Tuple, Tuple[list, int, dict]] = {}
         self._graph_segment = None
         self._published: Dict[Tuple, object] = {}
         #: shared container so the finalizer never references ``self``
@@ -568,14 +587,14 @@ class Session:
                     if isinstance(cached, _StaleEval):
                         cached.dirty.update(flips)
                     else:
-                        records, replayed = cached
+                        records, replayed, canonical = cached
                         if replayed:
                             # replay attribution is not per-world, so a
                             # spliced total would lie; drop the entry
                             del self._eval_cache[ekey]
                         else:
                             self._eval_cache[ekey] = _StaleEval(
-                                records, set(flips)
+                                records, set(flips), canonical
                             )
                 else:
                     continue
@@ -936,7 +955,7 @@ class Query:
                 cached = session._eval_cache.get(ekey)
                 if cached is not None and not isinstance(cached, _StaleEval):
                     session.stats["eval_hits"] += 1
-                    records, replayed = cached
+                    records, replayed, canonical = cached
                     break
                 stale = cached  # None, or a post-update _StaleEval
                 flight = session._eval_flights.get(ekey)
@@ -952,14 +971,17 @@ class Query:
                 continue
             try:
                 records, replayed = evaluate(stale)
+                canonical = {}
+                if stale is not None and mode == "mpds":
+                    canonical = _live_canonical(stale.canonical, records)
                 with session._lock:
-                    session._eval_cache[ekey] = (records, replayed)
+                    session._eval_cache[ekey] = (records, replayed, canonical)
                 break
             finally:
                 with session._lock:
                     session._eval_flights.pop(ekey, None)
                 flight.set()
-        return self._finalize(mode, records, replayed)
+        return self._finalize(mode, records, replayed, canonical)
 
     def _transient_store(self, theta: int):
         """Draw an uncached store: an unseeded spec draw, or an MC/LP/RSS
@@ -1042,11 +1064,17 @@ class Query:
             mode, worlds, loop_measure, engine_measure, *self._knobs(mode)
         )
 
-    def _finalize(self, mode, records, replayed):
-        """Rank cached records -- the only per-query work on a warm hit."""
+    def _finalize(self, mode, records, replayed, canonical=None):
+        """Rank cached records -- the only per-query work on a warm hit.
+
+        ``canonical`` is the evaluation-cache entry's memo, which the
+        MPDS result serializes through (one-shot results keep their
+        own empty one)."""
         if mode == "mpds":
             result = finalize_mpds(iter(records), self._k)
             result.replayed_worlds = replayed
+            if canonical is not None:
+                result._canonical = canonical
             return result
         transactions, weights, total_weight, actual_theta = (
             accumulate_transactions(iter(records))
