@@ -43,7 +43,12 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from ..graph.graph import Graph
-from ..graph.io import PathLike, read_edge_list, read_uncertain_edge_list
+from ..graph.io import (
+    PathLike,
+    data_rows,
+    read_edge_list,
+    read_uncertain_edge_list,
+)
 from ..graph.uncertain import UncertainGraph
 
 #: probability strategy: a constant, a registry name, or edge -> p
@@ -271,12 +276,7 @@ def load_uncertain_graph(
 def _has_probability_column(path: Path) -> bool:
     """Sniff whether the first data row is a ``u v p`` triple."""
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith(("#", "%")):
-                continue
-            return len(line.split()) >= 3
-    return False
+        return len(next(data_rows(handle), [])) >= 3
 
 
 def load_real_dataset(

@@ -21,7 +21,6 @@ from .all_densest import (
     prepare_from_bound_csr,
 )
 from .clique_density import (
-    CliqueDensestResult,
     all_clique_densest_subgraphs,
     build_clique_density_network,
     clique_densest_subgraph,
@@ -30,7 +29,6 @@ from .clique_density import (
     maximum_sized_clique_densest_subgraph,
 )
 from .pattern_density import (
-    PatternDensestResult,
     all_pattern_densest_subgraphs,
     build_pattern_density_network,
     enumerate_all_pattern_densest_subgraphs,
@@ -74,14 +72,12 @@ __all__ = [
     "maximum_sized_densest_subgraph",
     "prepare_from_bound",
     "prepare_from_bound_csr",
-    "CliqueDensestResult",
     "all_clique_densest_subgraphs",
     "build_clique_density_network",
     "clique_densest_subgraph",
     "enumerate_all_clique_densest_subgraphs",
     "maximum_clique_density",
     "maximum_sized_clique_densest_subgraph",
-    "PatternDensestResult",
     "all_pattern_densest_subgraphs",
     "build_pattern_density_network",
     "enumerate_all_pattern_densest_subgraphs",

@@ -15,11 +15,13 @@ enumerated *all* clique-densest subgraphs.  The pipeline mirrors Algorithm 2:
 
 The minimum s-t cut at ``alpha = rho*_h`` has capacity ``h * mu_h(G)``
 (Corollary 1), which we assert after scaling capacities to integers.
+Steps 1, 3 and 4 are the shared pipeline of
+:mod:`repro.dense.instance_density`; this module supplies the h-clique
+instances and Algorithm 6's network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
@@ -28,19 +30,16 @@ from ..cliques.enumeration import (
     enumerate_cliques,
     sub_cliques_of_h_cliques,
 )
-from ..flow.maxflow import max_flow, min_cut_maximal_source_side, min_cut_source_side
 from ..flow.network import FlowNetwork
 from ..graph.graph import Graph, Node
-from .component_enum import (
-    ComponentStructure,
-    build_component_structure,
-    enumerate_independent_sets,
+from .all_densest import enumerate_all_densest_subgraphs, maximum_sized_densest_subgraph
+from .goldberg import SINK, SOURCE, DensestResult, densest_subgraph
+from .instance_density import (
+    InstanceFamily,
+    enumerate_instance_densest_subgraphs,
+    instance_densest_subgraph,
+    maximum_sized_instance_densest_subgraph,
 )
-from .kcore import kh_core
-from .peeling import peel_clique_density
-
-SOURCE = ("__source__",)
-SINK = ("__sink__",)
 
 
 def _clique_label(lam: Clique) -> Tuple[str, Clique]:
@@ -87,114 +86,33 @@ def build_clique_density_network(
     return network
 
 
-@dataclass(frozen=True)
-class CliqueDensestResult:
-    """Exact maximum h-clique density and one witness subgraph."""
+def _family(h: int) -> InstanceFamily:
+    """h-cliques as instances; Algorithm 6's network over (h-1)-cliques."""
 
-    density: Fraction
-    nodes: FrozenSet[Node]
+    def network(core: Graph):
+        lambdas, completions = sub_cliques_of_h_cliques(core, h)
+        mu = sum(len(nodes) for nodes in completions.values()) // h
+        return (
+            lambda alpha: build_clique_density_network(
+                core, h, alpha, lambdas, completions
+            ),
+            mu,
+        )
 
-
-def _count_induced_cliques(graph: Graph, nodes: FrozenSet[Node], h: int) -> int:
-    return sum(1 for _ in enumerate_cliques(graph.subgraph(nodes), h))
-
-
-def _exists_denser(
-    core: Graph,
-    h: int,
-    alpha: Fraction,
-    lambdas: List[Clique],
-    completions: Dict[Clique, List[Node]],
-    mu: int,
-) -> Tuple[bool, Optional[FrozenSet[Node]]]:
-    """Check whether some subgraph has h-clique density > alpha (Lemma 3)."""
-    network = build_clique_density_network(core, h, alpha, lambdas, completions)
-    value = max_flow(network, SOURCE, SINK)
-    target = h * mu * Fraction(alpha).denominator
-    if value >= target:
-        return False, None
-    side = set(min_cut_source_side(network, SOURCE))
-    witness = frozenset(node for node in core if node in side)
-    return True, witness
+    return InstanceFamily(
+        h, lambda graph: [frozenset(c) for c in enumerate_cliques(graph, h)], network
+    )
 
 
-def clique_densest_subgraph(graph: Graph, h: int) -> CliqueDensestResult:
+def clique_densest_subgraph(graph: Graph, h: int) -> DensestResult:
     """Return the exact maximum h-clique density ``rho*_h`` and a witness.
 
     A graph with no h-clique has density 0 and an empty witness (an
     h-cliqueless world contributes to no clique-MPDS candidate).
     """
     if h == 2:
-        from .goldberg import densest_subgraph as _edge_densest
-        result = _edge_densest(graph)
-        return CliqueDensestResult(result.density, result.nodes)
-    peel = peel_clique_density(graph, h)
-    if peel.density == 0 and not any(True for _ in enumerate_cliques(graph, h)):
-        return CliqueDensestResult(Fraction(0), frozenset())
-    ceil_density = -(-peel.density.numerator // peel.density.denominator)
-    core = kh_core(graph, max(ceil_density, 1), h)
-    if core.number_of_nodes() == 0:
-        core = graph
-    lambdas, completions = sub_cliques_of_h_cliques(core, h)
-    mu = sum(len(nodes) for nodes in completions.values()) // h
-    if mu == 0:
-        return CliqueDensestResult(Fraction(0), frozenset())
-    n = core.number_of_nodes()
-    lo = max(peel.density, Fraction(1, n))
-    hi = Fraction(mu, 1)
-    best_nodes = peel.nodes if peel.density > 0 else core.node_set()
-    gap = Fraction(1, n * n)
-    while hi - lo >= gap:
-        alpha = (lo + hi) / 2
-        exists, witness = _exists_denser(core, h, alpha, lambdas, completions, mu)
-        if exists:
-            assert witness
-            lo = Fraction(_count_induced_cliques(core, witness, h), len(witness))
-            best_nodes = witness
-        else:
-            hi = alpha
-    density = Fraction(
-        _count_induced_cliques(graph, frozenset(best_nodes), h), len(best_nodes)
-    )
-    return CliqueDensestResult(density, frozenset(best_nodes))
-
-
-@dataclass
-class _PreparedClique:
-    density: Fraction
-    structure: Optional[ComponentStructure]
-    maximal_nodes: FrozenSet[Node]
-
-
-def _prepare(graph: Graph, h: int) -> _PreparedClique:
-    exact = clique_densest_subgraph(graph, h)
-    if exact.density == 0:
-        return _PreparedClique(Fraction(0), None, frozenset())
-    ceil_density = -(-exact.density.numerator // exact.density.denominator)
-    core = kh_core(graph, max(ceil_density, 1), h)
-    if core.number_of_nodes() == 0:
-        core = graph
-    lambdas, completions = sub_cliques_of_h_cliques(core, h)
-    mu = sum(len(nodes) for nodes in completions.values()) // h
-    network = build_clique_density_network(
-        core, h, exact.density, lambdas, completions
-    )
-    value = max_flow(network, SOURCE, SINK)
-    expected = h * mu * exact.density.denominator
-    if value != expected:  # pragma: no cover - exactness guard
-        raise AssertionError(
-            f"max flow {value} != h mu q = {expected}; rho*_h not exact?"
-        )
-    graph_node_set = core.node_set()
-    structure = build_component_structure(
-        network, SOURCE, SINK, is_graph_node=lambda label: label in graph_node_set
-    )
-    maximal = frozenset(
-        label
-        for label in min_cut_maximal_source_side(network, SINK)
-        if label in graph_node_set
-    )
-    return _PreparedClique(exact.density, structure, maximal)
+        return densest_subgraph(graph)
+    return instance_densest_subgraph(graph, _family(h))
 
 
 def enumerate_all_clique_densest_subgraphs(
@@ -206,13 +124,8 @@ def enumerate_all_clique_densest_subgraphs(
     2-clique is an edge.
     """
     if h == 2:
-        from .all_densest import enumerate_all_densest_subgraphs
-        yield from enumerate_all_densest_subgraphs(graph, limit)
-        return
-    prepared = _prepare(graph, h)
-    if prepared.structure is None:
-        return
-    yield from enumerate_independent_sets(prepared.structure, limit)
+        return enumerate_all_densest_subgraphs(graph, limit)
+    return enumerate_instance_densest_subgraphs(graph, _family(h), limit)
 
 
 def all_clique_densest_subgraphs(
@@ -227,10 +140,8 @@ def maximum_sized_clique_densest_subgraph(
 ) -> Tuple[Fraction, FrozenSet[Node]]:
     """Return ``(rho*_h, nodes)`` of the maximum-sized h-clique-densest subgraph."""
     if h == 2:
-        from .all_densest import maximum_sized_densest_subgraph
         return maximum_sized_densest_subgraph(graph)
-    prepared = _prepare(graph, h)
-    return prepared.density, prepared.maximal_nodes
+    return maximum_sized_instance_densest_subgraph(graph, _family(h))
 
 
 def maximum_clique_density(graph: Graph, h: int) -> Fraction:

@@ -56,10 +56,12 @@ def build_edge_density_network(graph: Graph, alpha: Fraction) -> FlowNetwork:
 class DensestResult:
     """An exact densest-subgraph answer.
 
-    ``density`` is the exact maximum edge density rho*_e; ``nodes`` is one
-    node set achieving it.  On an edgeless graph ``density`` is 0 and
-    ``nodes`` is empty (the paper's convention: an empty world has no
-    densest subgraph -- see Table I, world G1).
+    ``density`` is the exact maximum density (rho*_e here; rho*_h or
+    rho*_psi from :mod:`repro.dense.instance_density`); ``nodes`` is one
+    node set achieving it.  On a graph with no edge (h-clique, pattern
+    instance) ``density`` is 0 and ``nodes`` is empty (the paper's
+    convention: an empty world has no densest subgraph -- see Table I,
+    world G1).
     """
 
     density: Fraction

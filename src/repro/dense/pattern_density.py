@@ -12,30 +12,32 @@ network.  For a group ``g`` with node set ``lam``:
 
 At ``alpha = rho*_psi`` the minimum cut has capacity ``|V_psi| mu_psi(G)``
 (Lemma 11), and the residual SCC enumeration of Algorithm 3 produces every
-pattern-densest subgraph exactly once.
+pattern-densest subgraph exactly once.  That pipeline is shared with
+h-clique density in :mod:`repro.dense.instance_density`; this module
+supplies the pattern instances and Algorithm 7's network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from ..flow.maxflow import max_flow, min_cut_maximal_source_side, min_cut_source_side
 from ..flow.network import FlowNetwork
 from ..graph.graph import Graph, Node
-from ..patterns.matching import NodeSet, count_instances, group_instances
-from ..patterns.pattern import Pattern
-from .component_enum import (
-    ComponentStructure,
-    build_component_structure,
-    enumerate_independent_sets,
+from ..patterns.matching import (
+    NodeSet,
+    enumerate_instances,
+    group_instances,
+    instance_nodes,
 )
-from .kcore import kpsi_core
-from .peeling import peel_pattern_density
-
-SOURCE = ("__source__",)
-SINK = ("__sink__",)
+from ..patterns.pattern import Pattern
+from .goldberg import SINK, SOURCE, DensestResult
+from .instance_density import (
+    InstanceFamily,
+    enumerate_instance_densest_subgraphs,
+    instance_densest_subgraph,
+    maximum_sized_instance_densest_subgraph,
+)
 
 
 def _group_label(nodes: NodeSet) -> Tuple[str, NodeSet]:
@@ -75,112 +77,36 @@ def build_pattern_density_network(
     return network
 
 
-@dataclass(frozen=True)
-class PatternDensestResult:
-    """Exact maximum pattern density and one witness subgraph."""
+def _family(pattern: Pattern) -> InstanceFamily:
+    """Pattern instances; Algorithm 7's network over instance groups."""
 
-    density: Fraction
-    nodes: FrozenSet[Node]
-
-
-def _exists_denser(
-    core: Graph,
-    pattern: Pattern,
-    alpha: Fraction,
-    groups: Dict[NodeSet, int],
-    mu: int,
-) -> Tuple[bool, Optional[FrozenSet[Node]]]:
-    network = build_pattern_density_network(core, pattern, alpha, groups)
-    value = max_flow(network, SOURCE, SINK)
-    target = pattern.number_of_nodes() * mu * Fraction(alpha).denominator
-    if value >= target:
-        return False, None
-    side = set(min_cut_source_side(network, SOURCE))
-    witness = frozenset(node for node in core if node in side)
-    return True, witness
-
-
-def pattern_densest_subgraph(
-    graph: Graph, pattern: Pattern
-) -> PatternDensestResult:
-    """Return the exact maximum pattern density ``rho*_psi`` and a witness."""
-    peel = peel_pattern_density(graph, pattern)
-    if peel.density == 0:
-        return PatternDensestResult(Fraction(0), frozenset())
-    ceil_density = -(-peel.density.numerator // peel.density.denominator)
-    core = kpsi_core(graph, max(ceil_density, 1), pattern)
-    if core.number_of_nodes() == 0:
-        core = graph
-    groups = group_instances(core, pattern)
-    mu = sum(groups.values())
-    if mu == 0:
-        return PatternDensestResult(Fraction(0), frozenset())
-    n = core.number_of_nodes()
-    lo = max(peel.density, Fraction(1, n))
-    hi = Fraction(mu, 1)
-    best_nodes = peel.nodes
-    gap = Fraction(1, n * n)
-    while hi - lo >= gap:
-        alpha = (lo + hi) / 2
-        exists, witness = _exists_denser(core, pattern, alpha, groups, mu)
-        if exists:
-            assert witness
-            lo = Fraction(
-                count_instances(core.subgraph(witness), pattern), len(witness)
-            )
-            best_nodes = witness
-        else:
-            hi = alpha
-    density = Fraction(
-        count_instances(graph.subgraph(best_nodes), pattern), len(best_nodes)
-    )
-    return PatternDensestResult(density, frozenset(best_nodes))
-
-
-@dataclass
-class _PreparedPattern:
-    density: Fraction
-    structure: Optional[ComponentStructure]
-    maximal_nodes: FrozenSet[Node]
-
-
-def _prepare(graph: Graph, pattern: Pattern) -> _PreparedPattern:
-    exact = pattern_densest_subgraph(graph, pattern)
-    if exact.density == 0:
-        return _PreparedPattern(Fraction(0), None, frozenset())
-    ceil_density = -(-exact.density.numerator // exact.density.denominator)
-    core = kpsi_core(graph, max(ceil_density, 1), pattern)
-    if core.number_of_nodes() == 0:
-        core = graph
-    groups = group_instances(core, pattern)
-    mu = sum(groups.values())
-    network = build_pattern_density_network(core, pattern, exact.density, groups)
-    value = max_flow(network, SOURCE, SINK)
-    expected = pattern.number_of_nodes() * mu * exact.density.denominator
-    if value != expected:  # pragma: no cover - exactness guard
-        raise AssertionError(
-            f"max flow {value} != |V_psi| mu q = {expected}; rho*_psi not exact?"
+    def network(core: Graph):
+        groups = group_instances(core, pattern)
+        return (
+            lambda alpha: build_pattern_density_network(core, pattern, alpha, groups),
+            sum(groups.values()),
         )
-    graph_node_set = core.node_set()
-    structure = build_component_structure(
-        network, SOURCE, SINK, is_graph_node=lambda label: label in graph_node_set
+
+    return InstanceFamily(
+        pattern.number_of_nodes(),
+        lambda graph: [
+            instance_nodes(instance)
+            for instance in enumerate_instances(graph, pattern)
+        ],
+        network,
     )
-    maximal = frozenset(
-        label
-        for label in min_cut_maximal_source_side(network, SINK)
-        if label in graph_node_set
-    )
-    return _PreparedPattern(exact.density, structure, maximal)
+
+
+def pattern_densest_subgraph(graph: Graph, pattern: Pattern) -> DensestResult:
+    """Return the exact maximum pattern density ``rho*_psi`` and a witness."""
+    return instance_densest_subgraph(graph, _family(pattern))
 
 
 def enumerate_all_pattern_densest_subgraphs(
     graph: Graph, pattern: Pattern, limit: Optional[int] = None
 ) -> Iterator[FrozenSet[Node]]:
     """Yield every pattern-densest subgraph exactly once (Appendix B)."""
-    prepared = _prepare(graph, pattern)
-    if prepared.structure is None:
-        return
-    yield from enumerate_independent_sets(prepared.structure, limit)
+    return enumerate_instance_densest_subgraphs(graph, _family(pattern), limit)
 
 
 def all_pattern_densest_subgraphs(
@@ -194,8 +120,7 @@ def maximum_sized_pattern_densest_subgraph(
     graph: Graph, pattern: Pattern
 ) -> Tuple[Fraction, FrozenSet[Node]]:
     """Return ``(rho*_psi, nodes)`` of the maximum-sized pattern-densest subgraph."""
-    prepared = _prepare(graph, pattern)
-    return prepared.density, prepared.maximal_nodes
+    return maximum_sized_instance_densest_subgraph(graph, _family(pattern))
 
 
 def maximum_pattern_density(graph: Graph, pattern: Pattern) -> Fraction:

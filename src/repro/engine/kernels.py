@@ -97,27 +97,6 @@ def edge_world_counts(edge_masks: EdgeMasks) -> np.ndarray:
     return np.asarray(edge_masks).sum(axis=0, dtype=np.int64)
 
 
-def expected_world_degrees(
-    indexed: IndexedGraph, edge_masks: EdgeMasks
-) -> np.ndarray:
-    """Mean per-node degree across a batch of worlds: ``(n,)`` ``float64``.
-
-    Bins the per-edge world counts onto both endpoints, so the packed
-    path never materialises a ``(theta, n)`` degree matrix *or* the
-    boolean masks -- one column-count pass over the words suffices.
-    Equals ``batch_world_degrees(...).mean(axis=0)`` exactly.
-    """
-    theta = len(edge_masks)
-    if theta == 0:
-        return np.zeros(indexed.n, dtype=np.float64)
-    counts = edge_world_counts(edge_masks).astype(np.float64)
-    n = indexed.n
-    per_node = np.bincount(
-        indexed.edge_u, weights=counts, minlength=n
-    ) + np.bincount(indexed.edge_v, weights=counts, minlength=n)
-    return per_node / theta
-
-
 def batch_k_core_alive(
     indexed: IndexedGraph, edge_masks: EdgeMasks, k: Union[int, np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:

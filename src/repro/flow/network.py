@@ -14,7 +14,7 @@ exactly for the SCC enumeration to be correct (see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Tuple, Union
+from typing import Dict, Hashable, Iterator, List, Union
 
 Capacity = Union[int, "Fraction"]  # noqa: F821 - Fraction accepted duck-typed
 NetNode = Hashable
@@ -105,10 +105,6 @@ class FlowNetwork:
         """Return the number of registered nodes."""
         return len(self._labels)
 
-    def number_of_arcs(self) -> int:
-        """Return the number of arcs (including residual twins)."""
-        return sum(len(arcs) for arcs in self._adjacency)
-
     def index_of(self, label: NetNode) -> int:
         """Return the internal index of ``label``."""
         return self._index[label]
@@ -143,13 +139,6 @@ class FlowNetwork:
         for arc in self._adjacency[index]:
             if arc.residual() > 0:
                 yield arc.head
-
-    def residual_edges(self) -> Iterator[Tuple[NetNode, NetNode, Capacity]]:
-        """Yield ``(tail, head, residual)`` for arcs with positive residual."""
-        for arc in self.arcs():
-            residual = arc.residual()
-            if residual > 0:
-                yield self._labels[arc.tail], self._labels[arc.head], residual
 
     def residual_reachable_from(self, source: NetNode) -> List[NetNode]:
         """Return labels reachable from ``source`` in the residual graph."""

@@ -14,7 +14,7 @@ converted (so files written by this module round-trip).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Union
 
 from .graph import Graph
 from .uncertain import UncertainGraph
@@ -22,57 +22,79 @@ from .uncertain import UncertainGraph
 PathLike = Union[str, Path]
 
 
-def _parse_lines(path: PathLike) -> List[List[str]]:
-    rows: List[List[str]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith(("#", "%")):
-                continue
-            rows.append(line.split())
-    return rows
+def data_rows(lines: Iterable[str]) -> Iterator[List[str]]:
+    """Yield the whitespace-split data rows of edge-list text.
+
+    Blank lines and lines starting with ``#`` or ``%`` are skipped.
+    """
+    for raw in lines:
+        line = raw.strip()
+        if line and not line.startswith(("#", "%")):
+            yield line.split()
 
 
-def _maybe_int_labels(rows: List[List[str]]) -> bool:
+def normalize_labels(rows: Sequence[list]) -> None:
+    """Apply the label rule to the ``u, v`` slots of ``rows``, in place.
+
+    Every endpoint becomes an ``int`` when all of them parse as one, and
+    a ``str`` otherwise -- so text rows, JSON rows and deltas against
+    them all address the same nodes.
+    """
+    as_int = True
     for row in rows:
         for label in row[:2]:
             try:
-                int(label)
+                int(str(label))
             except ValueError:
-                return False
-    return True
+                as_int = False
+    for row in rows:
+        for slot in (0, 1):
+            label = row[slot]
+            if as_int:
+                row[slot] = int(str(label))
+            elif not isinstance(label, str):
+                row[slot] = str(label)
+
+
+def parse_edge_rows(lines: Iterable[str], width: int) -> List[List]:
+    """Parse edge-list text into labelled rows of ``width`` columns.
+
+    The one edge-list row parser: comment and blank lines are skipped,
+    columns past ``width`` ignored, and labels follow
+    :func:`normalize_labels`.  A row with fewer columns is an error.
+    """
+    rows: List[List] = []
+    for row in data_rows(lines):
+        if len(row) < width:
+            kind = "probabilistic edge" if width == 3 else "edge"
+            raise ValueError(f"malformed {kind} line: {row!r}")
+        rows.append(row[:width])
+    normalize_labels(rows)
+    return rows
+
+
+def parse_uncertain_edge_list(lines: Iterable[str]) -> UncertainGraph:
+    """Build an uncertain graph from ``u v p`` edge-list text lines."""
+    graph = UncertainGraph()
+    for u, v, p in parse_edge_rows(lines, 3):
+        graph.add_edge(u, v, float(p))
+    return graph
 
 
 def read_edge_list(path: PathLike) -> Graph:
     """Read a deterministic graph from a ``u v`` edge list file."""
-    rows = _parse_lines(path)
-    as_int = _maybe_int_labels(rows)
+    with open(path, "r", encoding="utf-8") as handle:
+        rows = parse_edge_rows(handle, 2)
     graph = Graph()
-    for row in rows:
-        if len(row) < 2:
-            raise ValueError(f"malformed edge line: {row!r}")
-        u, v = row[0], row[1]
-        if as_int:
-            graph.add_edge(int(u), int(v))
-        else:
-            graph.add_edge(u, v)
+    for u, v in rows:
+        graph.add_edge(u, v)
     return graph
 
 
 def read_uncertain_edge_list(path: PathLike) -> UncertainGraph:
     """Read an uncertain graph from a ``u v p`` edge list file."""
-    rows = _parse_lines(path)
-    as_int = _maybe_int_labels(rows)
-    graph = UncertainGraph()
-    for row in rows:
-        if len(row) < 3:
-            raise ValueError(f"malformed probabilistic edge line: {row!r}")
-        u, v, p = row[0], row[1], float(row[2])
-        if as_int:
-            graph.add_edge(int(u), int(v), p)
-        else:
-            graph.add_edge(u, v, p)
-    return graph
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_uncertain_edge_list(handle)
 
 
 def write_edge_list(graph: Graph, path: PathLike) -> None:

@@ -86,6 +86,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cli import _workers_arg
+from .graph.io import normalize_labels, parse_uncertain_edge_list
 from .graph.uncertain import UncertainGraph
 from .session import Session
 from .specs import (
@@ -98,6 +99,21 @@ from .specs import (
 
 #: theta * |E| above which a *cold* query is routed to the worker pool
 DEFAULT_HEAVY_COST = 200_000
+
+#: the keys a ``POST /query`` body may carry; any other key is a 400
+QUERY_KEYS = frozenset({
+    "graph", "run", "sampler", "theta", "seed", "measure", "k",
+    "min_size", "engine", "workers", "enumerate_all", "per_world_limit",
+    "dynamic",
+})
+
+#: per run, the body keys that map onto :class:`~repro.session.Query`
+#: setters and onto the one-shot estimator's keyword arguments
+_RUN_KNOBS = {
+    "mpds": (("k", "top_k"), ("enumerate_all", "enumerate_all"),
+             ("per_world_limit", "per_world_limit")),
+    "nds": (("k", "top_k"), ("min_size", "min_size")),
+}
 
 
 # ----------------------------------------------------------------------
@@ -128,32 +144,21 @@ def _load_named_dataset(name: str) -> UncertainGraph:
 
 
 def _uncertain_from_rows(rows: Sequence[Sequence]) -> UncertainGraph:
-    """Build an :class:`UncertainGraph` from ``(u, v, p)`` rows.
+    """Build an :class:`UncertainGraph` from JSON ``[u, v, p]`` rows.
 
-    Labels follow the edge-list file convention: kept as-is unless every
-    endpoint parses as an integer, in which case all are converted.
+    Labels follow the edge-list file rule
+    (:func:`repro.graph.io.normalize_labels`).
     """
-    parsed: List[Tuple[object, object, float]] = []
+    parsed: List[list] = []
     for row in rows:
         if len(row) != 3:
             raise ValueError(
                 f"malformed edge row {list(row)!r} (expected [u, v, p])"
             )
-        parsed.append((row[0], row[1], float(row[2])))
-    as_int = True
-    for u, v, _p in parsed:
-        for label in (u, v):
-            try:
-                int(str(label))
-            except ValueError:
-                as_int = False
-                break
+        parsed.append([row[0], row[1], float(row[2])])
+    normalize_labels(parsed)
     graph = UncertainGraph()
     for u, v, p in parsed:
-        if as_int:
-            u, v = int(str(u)), int(str(v))
-        elif not isinstance(u, str) or not isinstance(v, str):
-            u, v = str(u), str(v)
         graph.add_edge(u, v, p)
     return graph
 
@@ -161,12 +166,10 @@ def _uncertain_from_rows(rows: Sequence[Sequence]) -> UncertainGraph:
 def _delta_groups(body: dict) -> Dict[str, list]:
     """Normalize a ``POST .../update`` body into GraphDelta row groups.
 
-    Labels follow the same convention as :func:`_uncertain_from_rows`
-    (all-integer labels convert to int, others to str), so a delta
-    addresses the same nodes a registered edge list produced.
+    Labels follow the edge-list file rule over all groups together, so
+    a delta addresses the same nodes a registered edge list produced.
     """
     groups: Dict[str, list] = {}
-    labels: List[object] = []
     for group, width in (("updates", 3), ("inserts", 3), ("deletes", 2)):
         rows = body.get(group)
         if rows is None:
@@ -184,34 +187,14 @@ def _delta_groups(body: dict) -> Dict[str, list]:
                     f"malformed {group} row {row!r} (expected {expected})"
                 )
             out.append(list(row))
-            labels.extend(row[:2])
         groups[group] = out
-    as_int = bool(labels)
-    for label in labels:
-        try:
-            int(str(label))
-        except ValueError:
-            as_int = False
-            break
-    for rows in groups.values():
-        for row in rows:
-            for slot in (0, 1):
-                label = row[slot]
-                if as_int:
-                    row[slot] = int(str(label))
-                elif not isinstance(label, str):
-                    row[slot] = str(label)
+    normalize_labels([row for rows in groups.values() for row in rows])
     return groups
 
 
 def _uncertain_from_text(text: str) -> UncertainGraph:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("#", "%")):
-            continue
-        rows.append(line.split())
-    return _uncertain_from_rows(rows)
+    """Parse an ``edge_list`` text blob with the edge-list file rule."""
+    return parse_uncertain_edge_list(text.splitlines())
 
 
 # ----------------------------------------------------------------------
@@ -886,6 +869,19 @@ class ReproServer:
 
     # -- queries -------------------------------------------------------
     def _handle_query(self, body: dict) -> dict:
+        unknown = set(body) - QUERY_KEYS
+        if unknown:
+            raise _HTTPError(
+                400,
+                f"unknown query key(s) {sorted(unknown)}; "
+                f"accepted: {sorted(QUERY_KEYS)}",
+            )
+        for flag in ("dynamic", "enumerate_all"):
+            if flag in body and not isinstance(body[flag], bool):
+                raise _HTTPError(
+                    400, f"query {flag!r} must be a JSON boolean, "
+                    f"got {body[flag]!r}"
+                )
         entry = self._entry(body.get("graph"))
         mode = body.get("run", "mpds")
         if mode not in ("mpds", "nds"):
@@ -907,7 +903,7 @@ class ReproServer:
         measure_spec = body.get("measure")
         k = body.get("k", 1)
         engine = body.get("engine", self.engine)
-        dynamic = bool(body.get("dynamic", False))
+        dynamic = body.get("dynamic", False)
 
         session = entry.session
         store_key = (
@@ -927,20 +923,18 @@ class ReproServer:
         if dynamic:
             query.dynamic()
         query.measure(build_measure(measure_spec))
-        query.top_k(k)
+        # the run's knobs the body sets, validated by the builder; the
+        # shadow twin gets exactly these and the same defaults otherwise
+        knobs = {}
+        for key, setter in _RUN_KNOBS[mode]:
+            if key in body:
+                getattr(query, setter)(body[key])
+                knobs[key] = body[key]
         query.engine(engine)
         if workers not in (None, 1):
             query.workers(workers)
         started = time.perf_counter()
-        if mode == "mpds":
-            if "enumerate_all" in body:
-                query.enumerate_all(bool(body["enumerate_all"]))
-            if "per_world_limit" in body:
-                query.per_world_limit(body["per_world_limit"])
-            result = query.mpds()
-        else:
-            query.min_size(body.get("min_size", 2))
-            result = query.nds()
+        result = query.mpds() if mode == "mpds" else query.nds()
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         with self._lock:
             self.stats["queries_served"] += 1
@@ -967,7 +961,7 @@ class ReproServer:
             if dynamic
             else self._maybe_shadow(
                 entry, mode, kind, params, theta, seed, measure_spec,
-                body, engine, result,
+                knobs, engine, result,
             )
         )
         if shadow is not None:
@@ -976,7 +970,7 @@ class ReproServer:
 
     # -- shadow rollout checks -----------------------------------------
     def _maybe_shadow(
-        self, entry, mode, kind, params, theta, seed, measure_spec, body,
+        self, entry, mode, kind, params, theta, seed, measure_spec, knobs,
         engine, result,
     ) -> Optional[dict]:
         """Re-run a deterministic fraction of seeded queries on a fresh
@@ -1004,20 +998,10 @@ class ReproServer:
             if kind == "mc" and not params
             else build_sampler(kind, entry.graph, seed, **params)
         )
-        if mode == "mpds":
-            twin = top_k_mpds(
-                entry.graph, k=body.get("k", 1), theta=theta,
-                measure=measure, sampler=sampler, seed=seed,
-                enumerate_all=bool(body.get("enumerate_all", True)),
-                per_world_limit=body.get("per_world_limit", 100_000),
-                engine=engine,
-            )
-        else:
-            twin = top_k_nds(
-                entry.graph, k=body.get("k", 1),
-                min_size=body.get("min_size", 2), theta=theta,
-                measure=measure, sampler=sampler, seed=seed, engine=engine,
-            )
+        twin = (top_k_mpds if mode == "mpds" else top_k_nds)(
+            entry.graph, theta=theta, measure=measure, sampler=sampler,
+            seed=seed, engine=engine, **knobs,
+        )
         match = twin.to_dict() == result.to_dict()
         with self._lock:
             self.stats["shadow_checks"] += 1

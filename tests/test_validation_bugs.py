@@ -13,7 +13,16 @@ Three bugs, three surfaces:
 * ``_MaskPager.block_words`` trusted ``file.read(nbytes)``: a short
   read silently flowed into ``np.frombuffer(...).reshape`` and failed
   far from the cause -- now a descriptive ``IOError`` naming the spill
-  file and block.
+  file and block;
+* ``POST /query`` ignored unknown keys (``{"top_k": 3}`` ran with
+  ``k=1``) and coerced ``dynamic`` / ``enumerate_all`` with ``bool()``
+  (``"false"`` meant true), and its shadow twin re-read the body with
+  its own copies of the defaults -- now unknown keys and non-boolean
+  flags are a 400, and the twin gets exactly the validated knobs;
+* the edge-list row rules (comments, blank lines, extra columns, the
+  all-integer label rule) were copied into four places that drifted:
+  ``POST /graphs {"edge_list": "1 2 0.5 x"}`` was a 400 while the same
+  file loaded -- now :mod:`repro.graph.io` owns one row parser.
 """
 
 from __future__ import annotations
@@ -23,11 +32,16 @@ import random
 import numpy as np
 import pytest
 
+import repro.core.mpds
+import repro.core.nds
 from repro.cli import main
+from repro.core.mpds import top_k_mpds
 from repro.datasets.paper_examples import figure1_graph
+from repro.datasets.real import load_uncertain_graph
 from repro.engine.bitset import PackedMasks
 from repro.engine.worldstore import WorldStore, _MaskPager
-from repro.graph.io import write_uncertain_edge_list
+from repro.graph.io import read_uncertain_edge_list, write_uncertain_edge_list
+from repro.serve import QUERY_KEYS, ReproServer, _delta_groups
 from repro.session import Session
 from repro.specs import check_int_knob, split_sampler_spec
 
@@ -288,3 +302,193 @@ class TestPagerShortRead:
                 resident.mask_row(i), spilled.mask_row(i)
             )
         spilled.close()
+
+
+# ----------------------------------------------------------------------
+# bug 4: POST /query body validation
+# ----------------------------------------------------------------------
+SEEDED = "mc:theta=64,seed=5"
+
+
+@pytest.fixture
+def server():
+    srv = ReproServer(port=0)
+    srv.register_graph("g", graph=figure1_graph())
+    yield srv
+    srv.shutdown(timeout=10)
+
+
+class TestQueryBody:
+    def test_unknown_key_rejected_with_accepted_set(self, server):
+        status, payload = server.handle("POST", "/query", {
+            "graph": "g", "sampler": SEEDED, "top_k": 3,
+        })
+        assert status == 400
+        assert "'top_k'" in payload["error"]
+        for key in QUERY_KEYS:
+            assert repr(key) in payload["error"]
+
+    @pytest.mark.parametrize("flag", ["dynamic", "enumerate_all"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_flags_must_be_json_booleans(self, server, flag, value):
+        status, payload = server.handle("POST", "/query", {
+            "graph": "g", "sampler": SEEDED, flag: value,
+        })
+        assert status == 400
+        assert flag in payload["error"] and "boolean" in payload["error"]
+
+    def test_dynamic_false_draws_a_continuous_store(self, server):
+        status, payload = server.handle("POST", "/query", {
+            "graph": "g", "sampler": SEEDED, "dynamic": False,
+        })
+        assert status == 200 and payload["dynamic"] is False
+        expected = top_k_mpds(figure1_graph(), theta=64, seed=5)
+        assert payload["result"] == expected.to_dict()
+
+    def test_enumerate_all_false_is_honoured(self, server):
+        status, payload = server.handle("POST", "/query", {
+            "graph": "g", "sampler": SEEDED, "k": 2,
+            "enumerate_all": False,
+        })
+        assert status == 200
+        expected = top_k_mpds(
+            figure1_graph(), k=2, theta=64, seed=5, enumerate_all=False
+        )
+        assert payload["result"] == expected.to_dict()
+
+    def test_every_accepted_key_passes_the_gate(self, server):
+        status, payload = server.handle("POST", "/query", {
+            "graph": "g", "run": "mpds", "sampler": "mc", "theta": 64,
+            "seed": 5, "measure": "edge", "k": 2, "min_size": 2,
+            "engine": "python", "workers": 1, "enumerate_all": True,
+            "per_world_limit": 10, "dynamic": False,
+        })
+        assert status == 200, payload
+
+
+class TestShadowTwinKnobs:
+    """The shadow twin receives the validated knobs of the run, and
+    nothing else: no default copies, no keys of the other run."""
+
+    @pytest.fixture
+    def twin_calls(self, monkeypatch):
+        calls = []
+        for module, name in ((repro.core.mpds, "top_k_mpds"),
+                             (repro.core.nds, "top_k_nds")):
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append((_name, kwargs))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def _shadowed(self, body):
+        srv = ReproServer(port=0, shadow_rate=1.0)
+        try:
+            srv.register_graph("g", graph=figure1_graph())
+            status, payload = srv.handle("POST", "/query", dict(
+                body, graph="g", sampler=SEEDED,
+            ))
+        finally:
+            srv.shutdown(timeout=10)
+        assert status == 200, payload
+        assert payload["shadow"] == {"checked": True, "match": True}
+
+    def _knobs(self, kwargs):
+        return {
+            key: value for key, value in kwargs.items()
+            if key in ("k", "min_size", "enumerate_all", "per_world_limit")
+        }
+
+    def test_mpds_twin_gets_the_body_knobs(self, twin_calls):
+        self._shadowed({
+            "run": "mpds", "k": 2, "enumerate_all": False,
+            "per_world_limit": 1, "min_size": 3,
+        })
+        [(name, kwargs)] = twin_calls
+        assert name == "top_k_mpds"
+        assert self._knobs(kwargs) == {
+            "k": 2, "enumerate_all": False, "per_world_limit": 1,
+        }
+
+    def test_nds_twin_gets_the_body_knobs(self, twin_calls):
+        self._shadowed({"run": "nds", "k": 2, "min_size": 3})
+        [(name, kwargs)] = twin_calls
+        assert name == "top_k_nds"
+        assert self._knobs(kwargs) == {"k": 2, "min_size": 3}
+
+    def test_unset_knobs_fall_to_the_estimator_defaults(self, twin_calls):
+        self._shadowed({"run": "mpds"})
+        [(_name, kwargs)] = twin_calls
+        assert self._knobs(kwargs) == {}
+
+
+# ----------------------------------------------------------------------
+# bug 5: one edge-list row parser
+# ----------------------------------------------------------------------
+ROW_TEXTS = {
+    "mixed-labels": (
+        "# uploaded edges\n"
+        "\n"
+        "1 2 0.5 extra-column\n"
+        "% another comment\n"
+        "2 alice 0.25\n"
+        "alice bob 0.75 x y\n"
+    ),
+    "int-labels": "# ids\n1 2 0.5 x\n\n2 3 0.25\n% end\n3 1 0.125 y z\n",
+}
+
+
+class TestOneRowParser:
+    def test_extra_column_uploads(self, server):
+        status, payload = server.handle("POST", "/graphs", {
+            "name": "extra", "edge_list": "1 2 0.5 x\n",
+        })
+        assert status == 201, payload
+        assert payload["edges"] == 1
+
+    @pytest.mark.parametrize("text", ROW_TEXTS.values(), ids=ROW_TEXTS.keys())
+    def test_edge_list_blob_equals_file(self, server, tmp_path, text):
+        path = tmp_path / "edges.txt"
+        path.write_text(text)
+        status, payload = server.handle("POST", "/graphs", {
+            "name": "blob", "edge_list": text,
+        })
+        assert status == 201, payload
+        uploaded = list(server._entry("blob").graph.weighted_edges())
+        from_file = list(read_uncertain_edge_list(path).weighted_edges())
+        assert uploaded == from_file
+        assert uploaded == list(load_uncertain_graph(path).weighted_edges())
+
+    def test_label_rule_is_shared(self, server, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(ROW_TEXTS["int-labels"])
+        from_file = read_uncertain_edge_list(path)
+        status, _ = server.handle("POST", "/graphs", {
+            "name": "rows", "edges": [["1", "2", 0.5], [2, 3, "0.25"],
+                                      [3, 1, 0.125]],
+        })
+        assert status == 201
+        uploaded = server._entry("rows").graph
+        assert list(uploaded.weighted_edges()) == list(
+            from_file.weighted_edges()
+        )
+        groups = _delta_groups({"updates": [["1", 2, 0.5]],
+                                "deletes": [[3, "1"]]})
+        assert groups == {"updates": [[1, 2, 0.5]], "inserts": [],
+                          "deletes": [[3, 1]]}
+
+    def test_json_rows_still_need_exactly_three_columns(self, server):
+        status, payload = server.handle("POST", "/graphs", {
+            "name": "wide", "edges": [[0, 1, 0.5, "x"]],
+        })
+        assert status == 400
+        assert "malformed edge row" in payload["error"]
+
+    def test_probability_column_sniff_skips_comments(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("# header\n\n% more\n1 2 0.5\n")
+        graph = load_uncertain_graph(path)
+        assert list(graph.weighted_edges()) == [(1, 2, 0.5)]
