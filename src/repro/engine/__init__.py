@@ -75,7 +75,6 @@ from .kernels import (
     batch_k_core_alive,
     batch_peel_bounds,
     batch_world_degrees,
-    batched_greedypp,
     k_core_alive,
     world_degrees,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "k_core_alive",
     "batch_k_core_alive",
     "batch_peel_bounds",
-    "batched_greedypp",
     "HAVE_NUMBA",
     "jit_active",
     "use_jit",

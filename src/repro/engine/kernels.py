@@ -8,11 +8,9 @@ These replace the per-world Python loops of the estimator pipeline with
 * :func:`k_core_alive` / :func:`batch_k_core_alive` -- iterative k-core
   peeling as boolean masks, per world (the pre-filter for mask-native
   clique/pattern density evaluation) or over a whole batch;
-* :func:`batched_greedypp` -- load-aware Greedy++-style peeling rounds
-  yielding a certified density lower bound (an *achieved* density, valid
-  as a Dinkelbach seed; the engine's default bound is the sequential
-  bucketed peel in :func:`repro.dense.peeling._peel_arrays`, which is as
-  tight in practice and cheaper per world).
+* :func:`batch_peel_bounds` -- bucketed Charikar peel bounds for a whole
+  batch of worlds (achieved densities, the exact stage's Dinkelbach
+  seeds).
 
 All kernels take an :class:`~repro.engine.indexed.IndexedGraph` plus a
 boolean edge mask and never materialise :class:`Graph` objects.  The
@@ -26,7 +24,7 @@ blocks.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -211,58 +209,3 @@ def k_core_alive(
             return node_alive, edge_alive
         node_alive &= ~dead
         edge_alive &= node_alive[u] & node_alive[v]
-
-
-def batched_greedypp(
-    indexed: IndexedGraph,
-    edge_mask: np.ndarray,
-    rounds: int = 2,
-) -> Tuple[int, int, np.ndarray, List[Tuple[int, int]]]:
-    """Load-aware batched peeling; returns a certified density bound.
-
-    Each round peels the world to nothing, repeatedly deleting *all*
-    nodes minimising ``load(v) + degree(v)`` at once (a batched variant
-    of Greedy++: Boob et al., WWW 2020; round 1 with zero loads is
-    batched Charikar peeling).  A removed node's load grows by its
-    degree, so later rounds peel in a different order and can expose
-    denser prefixes.
-
-    Returns ``(best_num, best_den, best_alive, history)`` where
-    ``best_num / best_den`` is the densest intermediate subgraph seen
-    across all rounds (an exact, *achieved* edge density -- the induced
-    subgraph on ``best_alive`` realises it) and ``history`` holds the
-    best ``(num, den)`` after each round, non-decreasing.  On an edgeless
-    world the bound is ``0/1`` with an empty node mask.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    u, v = indexed.edge_u, indexed.edge_v
-    n = indexed.n
-    load = np.zeros(n, dtype=np.int64)
-    best_num, best_den = 0, 1
-    best_alive = np.zeros(n, dtype=bool)
-    history: List[Tuple[int, int]] = []
-    for _ in range(rounds):
-        edge_alive = edge_mask.copy()
-        node_alive = np.zeros(n, dtype=bool)
-        node_alive[u[edge_alive]] = True
-        node_alive[v[edge_alive]] = True
-        edges_left = int(edge_alive.sum())
-        nodes_left = int(node_alive.sum())
-        if nodes_left and edges_left * best_den > best_num * nodes_left:
-            best_num, best_den = edges_left, nodes_left
-            best_alive = node_alive.copy()
-        while nodes_left > 0:
-            degree = world_degrees(indexed, edge_alive)
-            key = np.where(node_alive, load + degree, _INF)
-            batch = key == key.min()
-            load[batch] += degree[batch]
-            node_alive &= ~batch
-            edge_alive &= node_alive[u] & node_alive[v]
-            edges_left = int(edge_alive.sum())
-            nodes_left = int(node_alive.sum())
-            if nodes_left and edges_left * best_den > best_num * nodes_left:
-                best_num, best_den = edges_left, nodes_left
-                best_alive = node_alive.copy()
-        history.append((best_num, best_den))
-    return best_num, best_den, best_alive, history

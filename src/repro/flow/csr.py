@@ -19,16 +19,19 @@ minimal / maximal min-cut sides and the residual SCC condensation are
 invariant across maximum flows (Picard-Queyranne), whichever solver
 produced them.
 
-Two solvers produce CSR max flows: the warm parametric chain
+Every CSR max flow comes from one push-relabel core,
+:class:`repro.flow.push_relabel.Preflow`: the warm parametric chain
 (:class:`repro.flow.parametric.ReverseChain`, the engine's per-component
-exact stage) and :func:`repro.flow.push_relabel.csr_push_relabel` (its
-cold solve after a core re-shrink).
+exact stage) drains through its discharge loop, and so does
+:func:`repro.flow.push_relabel.csr_push_relabel` (the chain's cold solve
+after a core re-shrink).  Every network gets its arcs from
+:func:`arc_layout`; Goldberg's arc pairs come from :func:`goldberg_pairs`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -73,51 +76,21 @@ class CSRFlowNetwork:
         cap_backward: np.ndarray,
     ) -> "CSRFlowNetwork":
         """Build from arc-pair arrays (tails, heads, capacities; int64)."""
-        pairs = len(pair_tail)
-        arc_tail = np.empty(2 * pairs, dtype=np.int64)
-        arc_head = np.empty(2 * pairs, dtype=np.int64)
-        arc_cap = np.empty(2 * pairs, dtype=np.int64)
-        arc_tail[0::2] = pair_tail
-        arc_tail[1::2] = pair_head
-        arc_head[0::2] = pair_head
-        arc_head[1::2] = pair_tail
-        arc_cap[0::2] = cap_forward
-        arc_cap[1::2] = cap_backward
-        order = np.argsort(arc_tail, kind="stable")
-        # position of each original arc after the sort, so twins resolve
-        # to sorted positions: original twin of arc a is a ^ 1
-        position = np.empty(2 * pairs, dtype=np.int64)
-        position[order] = np.arange(2 * pairs)
-        twin = position[order ^ 1]
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(arc_tail, minlength=num_nodes))
-        return cls(
-            num_nodes,
-            source,
-            sink,
-            arc_head[order].tolist(),
-            arc_cap[order].tolist(),
-            twin.tolist(),
-            indptr.tolist(),
+        order, _position, heads, twin, indptr = arc_layout(
+            num_nodes, pair_tail, pair_head
         )
+        caps = _interleave(cap_forward, cap_backward)[order].tolist()
+        return cls(num_nodes, source, sink, heads, caps, twin, indptr)
 
     # ------------------------------------------------------------------
     # residual structure (valid after a max-flow computation)
     # ------------------------------------------------------------------
-    def residual_successors(self, node: int) -> Iterator[int]:
-        """Yield heads of positive-residual arcs out of ``node``."""
-        to, cap = self.to, self.cap
-        for e in range(self.indptr[node], self.indptr[node + 1]):
-            if cap[e] > 0:
-                yield to[e]
-
     def residual_adjacency(self, nodes: Iterable[int]) -> List[List[int]]:
-        """Materialised :meth:`residual_successors` lists for ``nodes``.
+        """Heads of the positive-residual arcs out of each of ``nodes``.
 
         Returns a full-size table (indexed by node id, empty outside
         ``nodes``) so repeated traversals -- Tarjan visits every arc
-        twice -- skip the per-arc generator machinery.  Successor order
-        matches :meth:`residual_successors` exactly.
+        twice -- read plain lists.  Successors come in arc order.
         """
         to, cap, indptr = self.to, self.cap, self.indptr
         adjacency: List[List[int]] = [[] for _ in range(self.num_nodes)]
@@ -149,6 +122,77 @@ class CSRFlowNetwork:
         return seen
 
 
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """``even`` at the even slots, ``odd`` at the odd ones (int64)."""
+    out = np.empty(2 * len(even), dtype=np.int64)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
+def arc_layout(
+    num_nodes: int, pair_tail: np.ndarray, pair_head: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, List[int], List[int], List[int]]:
+    """Tail-sorted CSR layout of the arc pairs ``pair_tail -> pair_head``.
+
+    Pair ``k`` contributes its forward arc ``2 k`` and its reverse arc
+    ``2 k + 1``; a stable sort by tail puts arc ``a`` at
+    ``position[a]`` (``order`` is the inverse permutation).  Returns
+    ``(order, position, heads, twin, indptr)``, the last three as the
+    plain lists :class:`CSRFlowNetwork` stores.
+    """
+    arc_tail = _interleave(pair_tail, pair_head)
+    arc_head = _interleave(pair_head, pair_tail)
+    order = np.argsort(arc_tail, kind="stable")
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    # the original twin of arc a is a ^ 1; resolve it to sorted positions
+    twin = position[order ^ 1]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(arc_tail, minlength=num_nodes))
+    return (
+        order, position, arc_head[order].tolist(), twin.tolist(),
+        indptr.tolist(),
+    )
+
+
+def goldberg_pairs(
+    n: int,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    degrees: np.ndarray,
+    num: int,
+    den: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Goldberg's edge-density arc pairs at ``alpha = num / den``.
+
+    Source ``s = n``, sink ``t = n + 1``; the pairs are
+    ``[s -> v for v, v -> t for v, every graph edge]`` with
+    ``c(s, v) = den * deg(v)``, ``c(v, t) = 2 num`` and every graph edge
+    a ``den``/``den`` twin pair.  Returns
+    ``(pair_tail, pair_head, cap_forward, cap_backward)`` (int64).
+    """
+    m = len(edge_u)
+    locals_ = np.arange(n, dtype=np.int64)
+    pair_tail = np.concatenate([
+        np.full(n, n, dtype=np.int64), locals_,
+        np.asarray(edge_u, dtype=np.int64),
+    ])
+    pair_head = np.concatenate([
+        locals_, np.full(n, n + 1, dtype=np.int64),
+        np.asarray(edge_v, dtype=np.int64),
+    ])
+    cap_forward = np.concatenate([
+        den * np.asarray(degrees, dtype=np.int64),
+        np.full(n, 2 * num, dtype=np.int64),
+        np.full(m, den, dtype=np.int64),
+    ])
+    cap_backward = np.concatenate([
+        np.zeros(2 * n, dtype=np.int64), np.full(m, den, dtype=np.int64),
+    ])
+    return pair_tail, pair_head, cap_forward, cap_backward
+
+
 def build_edge_density_network_csr(
     n: int,
     edge_u: np.ndarray,
@@ -159,36 +203,13 @@ def build_edge_density_network_csr(
     """Goldberg's edge-density network over local node arrays.
 
     The array twin of :func:`repro.dense.goldberg.build_edge_density_network`
-    with the same scaled integer capacities (``alpha = p / q``): source
-    ``s = n``, sink ``t = n + 1``, ``c(s, v) = q * deg(v)``,
-    ``c(v, t) = 2p``, and every graph edge as a ``q``/``q`` twin pair.
+    with the same scaled integer capacities (``alpha = p / q``, pairs
+    from :func:`goldberg_pairs`): source ``s = n``, sink ``t = n + 1``.
     """
     alpha = Fraction(alpha)
-    q = alpha.denominator
-    p = alpha.numerator
-    m = len(edge_u)
-    source = n
-    sink = n + 1
-    locals_ = np.arange(n, dtype=np.int64)
-    pair_tail = np.concatenate(
-        [np.full(n, source, dtype=np.int64), locals_, edge_u]
-    )
-    pair_head = np.concatenate(
-        [locals_, np.full(n, sink, dtype=np.int64), edge_v]
-    )
-    cap_forward = np.concatenate(
-        [
-            q * degrees.astype(np.int64),
-            np.full(n, 2 * p, dtype=np.int64),
-            np.full(m, q, dtype=np.int64),
-        ]
-    )
-    cap_backward = np.concatenate(
-        [
-            np.zeros(2 * n, dtype=np.int64),
-            np.full(m, q, dtype=np.int64),
-        ]
-    )
     return CSRFlowNetwork.from_pairs(
-        n + 2, source, sink, pair_tail, pair_head, cap_forward, cap_backward
+        n + 2, n, n + 1,
+        *goldberg_pairs(
+            n, edge_u, edge_v, degrees, alpha.numerator, alpha.denominator
+        ),
     )

@@ -7,9 +7,11 @@ exact-density constructions need.
 
 :func:`max_flow` runs on the object :class:`~repro.flow.network.FlowNetwork`.
 The python engine and custom measures solve on it, and it is the reference
-the flat-array :func:`repro.flow.push_relabel.csr_push_relabel` is tested
-against.  Max-flow values are unique and min-cut sides / residual SCCs are
-flow-invariant, so either solver serves every downstream query.
+the flat-array push-relabel core (:class:`repro.flow.push_relabel.Preflow`,
+behind :func:`~repro.flow.push_relabel.csr_push_relabel` and the warm
+chain's drain) is tested against.  Max-flow values are unique and min-cut
+sides / residual SCCs are flow-invariant, so either solver serves every
+downstream query.
 
 Complexity is ``O(V^2 E)`` in general and much better on the unit-ish
 networks that arise here; the graphs in this reproduction are laptop-scale.

@@ -37,7 +37,9 @@ must improve (value below target means ``alpha < rho*``).
 Once the chain certifies (``value == 2 m Q``), the parked excess
 ``2 n P - 2 m Q`` still legitimately sits inside ``N'`` -- a max
 *preflow*, not a flow -- so a standard second phase returns it to the
-source', and the max-flowed forward network is materialised through the
+source' (the chain subclasses :class:`repro.flow.push_relabel.Preflow`
+and drains through the discharge loop ``csr_push_relabel`` runs), and
+the max-flowed forward network is materialised through the
 residual correspondence ``r_N(x -> y) = r_N'(y -> x)`` in exactly the
 arc layout :func:`repro.flow.csr.build_edge_density_network_csr`
 produces.  Downstream residual queries (SCC condensation, min-cut
@@ -58,13 +60,13 @@ discharge loop over flat int64 arrays when numba is installed.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from .csr import CSRFlowNetwork
+from .csr import CSRFlowNetwork, _interleave, arc_layout, goldberg_pairs
+from .push_relabel import Preflow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.indexed import SubWorldView
@@ -76,52 +78,17 @@ __all__ = ["ReverseChain", "parametric_dinkelbach"]
 _MAX_ROUNDS = 10_000
 
 
-def _reverse_layout(
-    n: int, edge_u: np.ndarray, edge_v: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Arc layout shared by the reversed network and its forward twin.
-
-    Returns ``(pair_tail, pair_head, order, position, twin)`` for the
-    *forward* pair list ``[s->v x n, v->t x n, edges x m]`` -- the exact
-    pair order :func:`build_edge_density_network_csr` uses -- where
-    ``order``/``position``/``twin`` describe the **reversed** network's
-    stable-sorted arc layout (pair ``k``'s reversed forward arc lands at
-    ``position[2 k]``).
-    """
-    source = n
-    sink = n + 1
-    locals_ = np.arange(n, dtype=np.int64)
-    pair_tail = np.concatenate(
-        [np.full(n, source, dtype=np.int64), locals_, edge_u]
-    )
-    pair_head = np.concatenate(
-        [locals_, np.full(n, sink, dtype=np.int64), edge_v]
-    )
-    pairs = len(pair_tail)
-    arc_tail = np.empty(2 * pairs, dtype=np.int64)
-    # reversed orientation: the pair's forward arc runs head -> tail
-    arc_tail[0::2] = pair_head
-    arc_tail[1::2] = pair_tail
-    order = np.argsort(arc_tail, kind="stable")
-    position = np.empty(2 * pairs, dtype=np.int64)
-    position[order] = np.arange(2 * pairs)
-    twin = position[order ^ 1]
-    return pair_tail, pair_head, order, position, twin
-
-
-class ReverseChain:
+class ReverseChain(Preflow):
     """One warm Dinkelbach chain over a component's reversed network.
 
     Drives phase-1 FIFO push-relabel with persistent heights across
-    ``alpha`` increments; :meth:`finish` drains the parked excess and
-    materialises the max-flowed forward network.
+    ``alpha`` increments; :meth:`drain` returns the parked excess and
+    :meth:`forward_network` materialises the max-flowed forward network.
     """
 
     __slots__ = (
-        "view", "n", "net", "num", "den", "_position", "_pair_tail",
-        "_pair_head", "height", "excess", "count_at_height", "pointers",
-        "in_queue", "active", "_src_arcs", "_heights_exact",
-        "_np_topology",
+        "view", "n", "num", "den", "_position", "_pair_tail",
+        "_pair_head", "_src_arcs", "_heights_exact", "_np_topology",
     )
 
     def __init__(self, view: "SubWorldView", bound: Fraction) -> None:
@@ -131,62 +98,30 @@ class ReverseChain:
         alpha = Fraction(bound)
         self.num, self.den = alpha.numerator, alpha.denominator
         degrees = view.degrees().astype(np.int64)
-        pair_tail, pair_head, order, position, twin = _reverse_layout(
-            n, view.edge_lu.astype(np.int64), view.edge_lv.astype(np.int64)
+        pair_tail, pair_head, cap_forward, cap_backward = goldberg_pairs(
+            n, view.edge_lu, view.edge_lv, degrees, self.num, self.den
         )
-        m = view.m
-        cap_forward = np.concatenate([
-            self.den * degrees,
-            np.full(n, 2 * self.num, dtype=np.int64),
-            np.full(m, self.den, dtype=np.int64),
-        ])
-        cap_backward = np.concatenate([
-            np.zeros(2 * n, dtype=np.int64),
-            np.full(m, self.den, dtype=np.int64),
-        ])
-        arc_cap = np.empty(2 * len(pair_tail), dtype=np.int64)
-        arc_cap[0::2] = cap_forward
-        arc_cap[1::2] = cap_backward
-        arc_head = np.empty(2 * len(pair_tail), dtype=np.int64)
-        arc_head[0::2] = pair_tail  # reversed: forward arc ends at the tail
-        arc_head[1::2] = pair_head
-        indptr = np.zeros(n + 3, dtype=np.int64)
-        arc_tail = np.empty(2 * len(pair_tail), dtype=np.int64)
-        arc_tail[0::2] = pair_head
-        arc_tail[1::2] = pair_tail
-        indptr[1:] = np.cumsum(np.bincount(arc_tail, minlength=n + 2))
-        # source' = t (= n + 1), sink' = s (= n)
-        self.net = CSRFlowNetwork(
-            n + 2, n + 1, n,
-            arc_head[order].tolist(), arc_cap[order].tolist(),
-            twin.tolist(), indptr.tolist(),
+        # reversed: every pair flipped, source' = t (= n + 1), sink' = s
+        order, position, heads, twin, indptr = arc_layout(
+            n + 2, pair_head, pair_tail
+        )
+        caps = _interleave(cap_forward, cap_backward)[order].tolist()
+        super().__init__(
+            CSRFlowNetwork(n + 2, n + 1, n, heads, caps, twin, indptr)
         )
         self._position = position
         self._pair_tail = pair_tail
         self._pair_head = pair_head
-        nodes = self.net.num_nodes
-        self.height = [0] * nodes
-        self.excess: List[int] = [0] * nodes
-        self.count_at_height = [0] * (2 * nodes + 2)
-        self.pointers = [0] * nodes
-        self.in_queue = [False] * nodes
-        self.active: deque = deque()
         # saturate every source' arc (t -> v), remembering each arc: the
         # alpha increments re-touch exactly these
         net = self.net
-        cap, twin_l, to, ind = net.cap, net.twin, net.to, net.indptr
+        ind = net.indptr
         src = net.source
+        nodes = net.num_nodes
         self._src_arcs = [0] * n
         for e in range(ind[src], ind[src + 1]):
-            head = to[e]
-            self._src_arcs[head] = e
-            delta = cap[e]
-            if delta <= 0:
-                continue
-            cap[e] = 0
-            cap[twin_l[e]] += delta
-            self.excess[head] += delta
-            self.excess[src] -= delta
+            self._src_arcs[net.to[e]] = e
+        self.saturate_source()
         self._np_topology = None
         # analytic initial heights, exactly what the BFS of
         # :meth:`global_relabel` would compute on the fresh preflow:
@@ -222,38 +157,7 @@ class ReverseChain:
     # ------------------------------------------------------------------
     def global_relabel(self) -> None:
         """Exact residual BFS distances to the sink'; rebuild the queue."""
-        net = self.net
-        nodes = net.num_nodes
-        s, t = net.source, net.sink
-        to, cap, twin, indptr = net.to, net.cap, net.twin, net.indptr
-        height = self.height
-        infinity = 2 * nodes
-        height[:] = [infinity] * nodes
-        height[t] = 0
-        height[s] = nodes
-        queue = deque([t])
-        while queue:
-            v = queue.popleft()
-            dist = height[v] + 1
-            for e in range(indptr[v], indptr[v + 1]):
-                u = to[e]
-                if cap[twin[e]] > 0 and height[u] == infinity:
-                    height[u] = dist
-                    queue.append(u)
-        count_at_height = self.count_at_height
-        count_at_height[:] = [0] * (2 * nodes + 2)
-        for h in height:
-            count_at_height[h] += 1
-        self.pointers[:] = indptr[:nodes]
-        excess = self.excess
-        in_queue = self.in_queue
-        active = self.active
-        active.clear()
-        in_queue[:] = [False] * nodes
-        for i in range(nodes):
-            if excess[i] > 0 and i != s and i != t and height[i] < nodes:
-                in_queue[i] = True
-                active.append(i)
+        self.relabel_to_distances((self.net.sink,))
         self._heights_exact = True
 
     # ------------------------------------------------------------------
@@ -468,100 +372,16 @@ class ReverseChain:
     def drain(self) -> None:
         """Phase 2: return parked excess to the source' (preflow -> flow).
 
-        Mirrors :func:`repro.flow.push_relabel.csr_push_relabel`: heights
-        become ``d(v, sink')``, or ``nodes + d(v, source')`` when the sink' is
-        unreachable, and every excess node discharges until conservation
-        holds -- after which the residual capacities describe a valid
-        maximum flow.
+        Runs :meth:`Preflow.discharge`, the loop
+        :func:`repro.flow.push_relabel.csr_push_relabel` runs: heights
+        become ``d(v, sink')``, or ``nodes + d(v, source')`` when the
+        sink' is unreachable, and every excess node discharges until
+        conservation holds -- after which the residual capacities
+        describe a valid maximum flow.  Its gap heuristic never fires
+        here: after a max preflow every excess node is cut off from the
+        sink', so every relabel starts at a height ``>= nodes``.
         """
-        net = self.net
-        nodes = net.num_nodes
-        s, t = net.source, net.sink
-        to, cap, twin, indptr = net.to, net.cap, net.twin, net.indptr
-        excess = self.excess
-        height = self.height
-        count_at_height = self.count_at_height
-        pointers = self.pointers
-        in_queue = self.in_queue
-        active = self.active
-        infinity = 2 * nodes
-
-        def relabel_all() -> None:
-            height[:] = [infinity] * nodes
-            height[t] = 0
-            height[s] = nodes
-            for start in (t, s):
-                queue = deque([start])
-                while queue:
-                    v = queue.popleft()
-                    dist = height[v] + 1
-                    for e in range(indptr[v], indptr[v + 1]):
-                        u = to[e]
-                        if cap[twin[e]] > 0 and height[u] == infinity:
-                            height[u] = dist
-                            queue.append(u)
-            count_at_height[:] = [0] * (2 * nodes + 2)
-            for h in height:
-                count_at_height[h] += 1
-            pointers[:] = indptr[:nodes]
-            active.clear()
-            in_queue[:] = [False] * nodes
-            for i in range(nodes):
-                if excess[i] > 0 and i != s and i != t \
-                        and height[i] < infinity:
-                    in_queue[i] = True
-                    active.append(i)
-
-        relabel_all()
-        relabels_since_global = 0
-        while active:
-            node = active.popleft()
-            in_queue[node] = False
-            limit = indptr[node + 1]
-            node_excess = excess[node]
-            while node_excess > 0:
-                e = pointers[node]
-                if e >= limit:
-                    old = height[node]
-                    smallest = infinity
-                    for a in range(indptr[node], limit):
-                        if cap[a] > 0 and height[to[a]] < smallest:
-                            smallest = height[to[a]]
-                    height[node] = smallest + 1
-                    count_at_height[old] -= 1
-                    count_at_height[smallest + 1] += 1
-                    pointers[node] = indptr[node]
-                    relabels_since_global += 1
-                    if relabels_since_global >= nodes:
-                        relabels_since_global = 0
-                        excess[node] = node_excess
-                        relabel_all()
-                        node_excess = 0
-                        break
-                    if height[node] > 2 * nodes:  # pragma: no cover
-                        break
-                    continue
-                head = to[e]
-                residual = cap[e]
-                if residual > 0 and height[node] == height[head] + 1:
-                    delta = node_excess if node_excess < residual \
-                        else residual
-                    cap[e] = residual - delta
-                    cap[twin[e]] += delta
-                    node_excess -= delta
-                    excess[head] += delta
-                    if (
-                        not in_queue[head]
-                        and head != s
-                        and head != t
-                        and excess[head] > 0
-                    ):
-                        in_queue[head] = True
-                        active.append(head)
-                else:
-                    pointers[node] = e + 1
-            else:
-                excess[node] = node_excess
+        self.discharge()
         self._heights_exact = False
 
     def forward_network(self) -> CSRFlowNetwork:
@@ -576,22 +396,12 @@ class ReverseChain:
         interior, which no flow-invariant query observes).
         """
         n = self.n
-        pair_tail, pair_head = self._pair_tail, self._pair_head
         rev_position = self._position
         rev_cap = self.net.cap
-        pairs = len(pair_tail)
-        arc_tail = np.empty(2 * pairs, dtype=np.int64)
-        arc_head = np.empty(2 * pairs, dtype=np.int64)
-        arc_tail[0::2] = pair_tail
-        arc_tail[1::2] = pair_head
-        arc_head[0::2] = pair_head
-        arc_head[1::2] = pair_tail
-        order = np.argsort(arc_tail, kind="stable")
-        position = np.empty(2 * pairs, dtype=np.int64)
-        position[order] = np.arange(2 * pairs)
-        twin = position[order ^ 1]
-        indptr = np.zeros(n + 3, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(arc_tail, minlength=n + 2))
+        _order, position, heads, twin, indptr = arc_layout(
+            n + 2, self._pair_tail, self._pair_head
+        )
+        pairs = len(self._pair_tail)
         # permute on plain lists: numpy scalar indexing per arc is the
         # dominant cost here, and the caps may exceed int64 anyway
         position_l = position.tolist()
@@ -599,10 +409,7 @@ class ReverseChain:
         caps = [0] * (2 * pairs)
         for k in range(2 * pairs):
             caps[position_l[k]] = rev_cap[rev_position_l[k]]
-        return CSRFlowNetwork(
-            n + 2, n, n + 1,
-            arc_head[order].tolist(), caps, twin.tolist(), indptr.tolist(),
-        )
+        return CSRFlowNetwork(n + 2, n, n + 1, heads, caps, twin, indptr)
 
 
 def parametric_dinkelbach(

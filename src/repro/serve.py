@@ -453,10 +453,16 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _dispatch(self, method: str) -> None:
+        length = (self.headers.get("Content-Length") or "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            # the body's extent is unknown: answer, then drop the
+            # connection rather than parse its bytes as a next request
+            self.close_connection = True
+            self._reply(400, {"error": "invalid Content-Length"})
+            return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length > 0 else b""
-        except (ValueError, OSError):  # pragma: no cover - client gone
+            raw = self.rfile.read(int(length))
+        except OSError:  # pragma: no cover - client gone
             return
         if raw:
             try:

@@ -10,7 +10,6 @@ correctness, and end-to-end estimator equality.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,14 +23,14 @@ from repro.dense.all_densest import (
     maximum_sized_densest_subgraph,
     prepare_from_bound,
 )
-from repro.dense.goldberg import densest_subgraph
 from repro.dense.kcore import k_core
+from repro.dense.peeling import peel_edge_density_csr
 from repro.engine import (
     IndexedGraph,
+    MaskWorld,
     VectorizedMonteCarloSampler,
     batch_k_core_alive,
     batch_world_degrees,
-    batched_greedypp,
     k_core_alive,
     measure_core_k,
     resolve_engine,
@@ -181,33 +180,6 @@ class TestKernels:
         core_world = indexed.subworld_graph(edge_alive, node_alive)
         assert core_world.edge_set() == reference.edge_set()
 
-    def test_batched_greedypp_bound_is_achieved_and_valid(self, rng):
-        for trial in range(5):
-            _graph, indexed, mask = self._indexed_and_mask(
-                rng, n=12, p=0.5, seed=trial
-            )
-            if not mask.any():
-                continue
-            num, den, alive, history = batched_greedypp(indexed, mask, 3)
-            bound = Fraction(num, den)
-            world = indexed.world_graph(mask)
-            induced = world.subgraph(indexed.node_set(alive))
-            assert induced.edge_density() == bound
-            assert bound <= densest_subgraph(world).density
-            assert history == sorted(history, key=lambda nd: Fraction(*nd))
-
-    def test_batched_greedypp_empty_world(self, rng):
-        _graph, indexed, _ = self._indexed_and_mask(rng)
-        mask = np.zeros(indexed.m, dtype=bool)
-        num, den, alive, _history = batched_greedypp(indexed, mask)
-        assert (num, den) == (0, 1)
-        assert not alive.any()
-
-    def test_batched_greedypp_rejects_bad_rounds(self, rng):
-        _graph, indexed, mask = self._indexed_and_mask(rng)
-        with pytest.raises(ValueError):
-            batched_greedypp(indexed, mask, 0)
-
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_batch_k_core_matches_per_world(self, rng, k):
         _graph, indexed, _ = self._indexed_and_mask(rng, n=14, p=0.35)
@@ -247,8 +219,8 @@ class TestPrepareFromBound:
             if not mask.any():
                 continue
             world = indexed.world_graph(mask)
-            num, den, _alive, _h = batched_greedypp(indexed, mask, 2)
-            bound = Fraction(num, den)
+            view = MaskWorld(indexed, mask).view()
+            bound = peel_edge_density_csr(view).density
             k = -(-bound.numerator // bound.denominator)
             node_alive, edge_alive = k_core_alive(indexed, mask, k)
             core = indexed.subworld_graph(edge_alive, node_alive)

@@ -22,12 +22,17 @@ Three bugs, three surfaces:
 * the edge-list row rules (comments, blank lines, extra columns, the
   all-integer label rule) were copied into four places that drifted:
   ``POST /graphs {"edge_list": "1 2 0.5 x"}`` was a 400 while the same
-  file loaded -- now :mod:`repro.graph.io` owns one row parser.
+  file loaded -- now :mod:`repro.graph.io` owns one row parser;
+* ``repro-serve`` never answered a request whose ``Content-Length`` is
+  not an integer (the client hung until its timeout), and read a
+  negative length as an empty body, leaving the sent bytes on the
+  keep-alive connection -- now both are a 400 and the connection closes.
 """
 
 from __future__ import annotations
 
 import random
+import socket
 
 import numpy as np
 import pytest
@@ -492,3 +497,35 @@ class TestOneRowParser:
         path.write_text("# header\n\n% more\n1 2 0.5\n")
         graph = load_uncertain_graph(path)
         assert list(graph.weighted_edges()) == [(1, 2, 0.5)]
+
+
+# ----------------------------------------------------------------------
+# malformed Content-Length over a raw socket
+# ----------------------------------------------------------------------
+def _raw_exchange(srv, length: str, body: bytes) -> bytes:
+    """Send one ``POST /query`` with a literal ``Content-Length``; read to EOF."""
+    with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode() + body
+        )
+        received = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return received
+            received += chunk
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0"])
+    def test_rejected_and_connection_closed(self, length):
+        body = b'{"graph": "g"}'
+        with ReproServer(port=0) as srv:
+            # recv returning EOF proves the server closed the keep-alive
+            # connection; the socket timeout would fail the test instead
+            response = _raw_exchange(srv, length, body)
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert response.count(b"HTTP/1.1") == 1
+        assert response.endswith(b'{"error": "invalid Content-Length"}')
