@@ -393,6 +393,17 @@ class WorldStore:
             return unpack_row(self._pager.row(i), self._pager.m)
         return self._masks[i]
 
+    def row_bytes(self, i: int) -> bytes:
+        """World ``i``'s packed mask words as bytes, never unpacked.
+
+        Two rows of one column layout hold the same edge set exactly
+        when their bytes are equal (budgeted stores stream the row in
+        through its block).
+        """
+        if self._pager is not None:
+            return self._pager.row(i).tobytes()
+        return self._masks.words[i].tobytes()
+
     def order(self, i: int) -> Optional[np.ndarray]:
         """Edge insertion order of world ``i`` (None = edge-index order)."""
         if self.order_data is None:

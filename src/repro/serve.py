@@ -52,9 +52,10 @@ HTTP surface (all JSON)::
     POST   /graphs/<name>/update
                               {"updates": [[u, v, p], ...],
                                "inserts": [[u, v, p], ...],
-                               "deletes": [[u, v], ...]}
+                               "deletes": [[u, v], ...],
+                               "timeout": 60}
     GET    /stats             counters + latency histograms
-    POST   /shutdown          graceful drain + stop
+    POST   /shutdown          graceful drain + stop ({"timeout": 60})
 
 Dynamic graphs: ``POST /graphs/<name>/update`` applies a
 :class:`repro.delta.GraphDelta` to a live graph.  It rides the
@@ -106,6 +107,12 @@ QUERY_KEYS = frozenset({
     "min_size", "engine", "workers", "enumerate_all", "per_world_limit",
     "dynamic",
 })
+
+#: the keys a ``POST /graphs/<name>/update`` body may carry
+UPDATE_KEYS = frozenset({"updates", "inserts", "deletes", "timeout"})
+
+#: the keys a ``POST /shutdown`` body may carry
+SHUTDOWN_KEYS = frozenset({"timeout"})
 
 #: per run, the body keys that map onto :class:`~repro.session.Query`
 #: setters and onto the one-shot estimator's keyword arguments
@@ -190,6 +197,36 @@ def _delta_groups(body: dict) -> Dict[str, list]:
         groups[group] = out
     normalize_labels([row for rows in groups.values() for row in rows])
     return groups
+
+
+def _check_body_keys(body: dict, what: str, accepted: frozenset) -> None:
+    """Reject body keys outside ``accepted`` (a misspelt knob would
+    otherwise fall back to its default silently)."""
+    unknown = set(body) - accepted
+    if unknown:
+        raise _HTTPError(
+            400,
+            f"unknown {what} key(s) {sorted(unknown)}; "
+            f"accepted: {sorted(accepted)}",
+        )
+
+
+def _body_timeout(body: dict) -> float:
+    """``body["timeout"]`` in seconds (default 60): a finite,
+    non-negative JSON number that is not a boolean."""
+    timeout = body.get("timeout", 60.0)
+    if (
+        isinstance(timeout, bool)
+        or not isinstance(timeout, (int, float))
+        # false for NaN, infinities and integers beyond float range
+        or not 0 <= timeout <= sys.float_info.max
+    ):
+        raise _HTTPError(
+            400,
+            f"'timeout' must be a finite, non-negative number of "
+            f"seconds, got {timeout!r}",
+        )
+    return float(timeout)
 
 
 def _uncertain_from_text(text: str) -> UncertainGraph:
@@ -362,6 +399,9 @@ class AdmissionController:
                 )
                 if remaining is not None and remaining <= 0:
                     return False
+                if remaining is not None:
+                    # Condition.wait rejects timeouts past TIMEOUT_MAX
+                    remaining = min(remaining, threading.TIMEOUT_MAX)
                 self._drained.wait(remaining)
             return True
 
@@ -825,7 +865,8 @@ class ReproServer:
     def _handle_shutdown(self, body: dict):
         """Begin draining immediately; finish shutdown off-thread so the
         acknowledgement can still be written to this client."""
-        timeout = float(body.get("timeout", 60.0))
+        _check_body_keys(body, "shutdown", SHUTDOWN_KEYS)
+        timeout = _body_timeout(body)
         self.admission.begin_drain()
         snapshot = self.admission.snapshot()
         threading.Thread(
@@ -850,6 +891,8 @@ class ReproServer:
         """
         from .delta import GraphDelta
 
+        _check_body_keys(body, "update", UPDATE_KEYS)
+        timeout = _body_timeout(body)
         entry = self._entry(name)
         delta = GraphDelta(**_delta_groups(body))
         if delta.empty:
@@ -858,7 +901,6 @@ class ReproServer:
                 "update body names no edges; provide 'updates', "
                 "'inserts' and/or 'deletes'",
             )
-        timeout = float(body.get("timeout", 60.0))
         if self.admission.is_draining():
             raise Draining("server is draining; no updates accepted")
         try:
@@ -875,13 +917,7 @@ class ReproServer:
 
     # -- queries -------------------------------------------------------
     def _handle_query(self, body: dict) -> dict:
-        unknown = set(body) - QUERY_KEYS
-        if unknown:
-            raise _HTTPError(
-                400,
-                f"unknown query key(s) {sorted(unknown)}; "
-                f"accepted: {sorted(QUERY_KEYS)}",
-            )
+        _check_body_keys(body, "query", QUERY_KEYS)
         for flag in ("dynamic", "enumerate_all"):
             if flag in body and not isinstance(body[flag], bool):
                 raise _HTTPError(

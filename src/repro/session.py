@@ -74,7 +74,9 @@ Queries marked :meth:`Query.dynamic` draw per-edge-substream stores
 (:mod:`repro.delta`) that updates maintain *surgically* -- only the
 affected mask columns are re-drawn, and only the evaluation-cache
 records of worlds that actually flipped are re-computed (lazily, on
-the next query).  Continuous-stream stores cannot be maintained
+the next query) -- unless the entry evaluated that world's edge set
+before, in which case the record comes from the entry's world memo
+(:class:`_WorldMemo`).  Continuous-stream stores cannot be maintained
 column-wise (one RNG stream spans all edges), so an update evicts them
 along with their evaluations; they re-draw on demand.
 """
@@ -83,6 +85,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from collections import Counter
 from typing import Dict, List, Optional, Tuple, Union
 
 from .core.measures import DensityMeasure, EdgeDensity
@@ -137,29 +140,136 @@ def _check_dynamic_draw(kind, params, seed) -> None:
         )
 
 
+#: a world memo holds at most ``MEMO_LIMIT * theta`` records; an
+#: overflow trims the least recently used displaced records down to
+#: ``MEMO_KEEP * theta``
+MEMO_LIMIT = 4
+MEMO_KEEP = 3
+
+
+def _world_key(store, i: int) -> Tuple[bytes, float]:
+    """World ``i``'s memo key: its packed edge mask and its weight."""
+    return store.row_bytes(i), float(store.weights[i])
+
+
+class _WorldMemo:
+    """Per-world records of one dynamic-store evaluation, by edge set.
+
+    A record is a pure function of its world's edge set, its weight and
+    the evaluation key, so a world that returns to an edge set it held
+    before (a what-if update and its restore) can take the record
+    computed then instead of re-running the exact stage.  ``records``
+    maps a :func:`_world_key` to its record in least-recently-used
+    order.  ``keys[i]`` is the key world ``i`` held when its current
+    record was computed, and ``live`` counts the worlds holding each
+    key.  Live records are never trimmed; a store holds ``theta``
+    worlds, so at most ``theta`` records are live.  ``sets`` interns
+    the node sets the records hold, so a record computed again shares
+    the sets the memo already keeps.
+
+    Keys compare packed rows, which only means "same edge set" within
+    one column layout: an insert or delete changes the layout, and
+    :meth:`Session.update` drops the memo (the next patch seeds a new
+    one).
+    """
+
+    __slots__ = ("family", "records", "keys", "live", "sets", "limit",
+                 "keep")
+
+    def __init__(self, mode: str, store, records: list) -> None:
+        self.family = mode == "mpds"
+        self.limit = MEMO_LIMIT * store.count
+        self.keep = MEMO_KEEP * store.count
+        self.records: Dict[Tuple[bytes, float], tuple] = {}
+        self.sets: dict = {}
+        self.keys = [_world_key(store, i) for i in range(store.count)]
+        self.live = Counter(self.keys)
+        for i, key in enumerate(self.keys):
+            records[i] = self.put(key, records[i])
+
+    def get(self, key) -> Optional[tuple]:
+        """The record memoized under ``key`` (refreshing its recency),
+        or ``None``."""
+        record = self.records.pop(key, None)
+        if record is not None:
+            self.records[key] = record
+        return record
+
+    def put(self, key, record: tuple) -> tuple:
+        """Memoize ``record`` under ``key``; return it with its node
+        sets replaced by the interned equal ones."""
+        sets, weight = record
+        intern = self.sets.setdefault
+        if self.family:
+            sets = [intern(nodes, nodes) for nodes in sets]
+        elif sets is not None:
+            sets = intern(sets, sets)
+        record = (sets, weight)
+        self.records.pop(key, None)
+        self.records[key] = record
+        return record
+
+    def move(self, i: int, key) -> None:
+        """World ``i`` now holds ``key``."""
+        old = self.keys[i]
+        self.live[old] -= 1
+        if not self.live[old]:
+            del self.live[old]
+        self.live[key] += 1
+        self.keys[i] = key
+
+    def trim(self) -> None:
+        """Past ``limit`` records, drop the least recently used
+        displaced ones down to ``keep`` and re-intern what is left."""
+        if len(self.records) <= self.limit:
+            return
+        excess = len(self.records) - self.keep
+        for key in list(self.records):
+            if not excess:
+                break
+            if key not in self.live:
+                del self.records[key]
+                excess -= 1
+        self.sets = {}
+        for key, record in list(self.records.items()):
+            self.put(key, record)
+
+
 class _StaleEval:
     """An evaluation-cache entry awaiting per-world re-evaluation.
 
     :meth:`Session.update` marks an entry stale instead of recomputing
     it eagerly: ``records`` are the pre-update per-world records and
     ``dirty`` the indices of the worlds that flipped.  The next query
-    that hits the entry re-evaluates *only* the dirty worlds (the
-    store's ``subset`` replay) and splices the fresh records in --
-    byte-identical to a full re-evaluation, since records are strictly
-    per-world.  Repeated updates union their flips into ``dirty``.
-    Only entries whose original evaluation replayed zero truncated
-    worlds are marked (a truncated entry's replay attribution is not
-    per-world, so updates drop it instead).  ``canonical`` is the
-    entry's canonical-order memo, carried over to the patched entry
-    minus the node sets its fresh records no longer hold.
+    that hits the entry looks each dirty world's current edge set up in
+    ``memo`` (the entry's :class:`_WorldMemo`), re-evaluates *only* the
+    misses (the store's ``subset`` replay), memoizes them and splices
+    hits and fresh records in -- byte-identical to a full
+    re-evaluation, since records are strictly per-world.  Repeated
+    updates union their flips into ``dirty``.  Only entries whose
+    original evaluation replayed zero truncated worlds are marked (a
+    truncated entry's replay attribution is not per-world, so updates
+    drop it instead), and only miss batches that replayed none are
+    memoized.  ``memo`` is ``None`` after an insert or delete (the
+    column layout changed, so every dirty world misses and the patch
+    seeds a fresh memo).  ``canonical`` is the entry's canonical-order
+    memo, carried over to the patched entry minus the node sets its
+    fresh records no longer hold.
     """
 
-    __slots__ = ("records", "dirty", "canonical")
+    __slots__ = ("records", "dirty", "canonical", "memo")
 
-    def __init__(self, records: list, dirty: set, canonical: dict) -> None:
+    def __init__(
+        self,
+        records: list,
+        dirty: set,
+        canonical: dict,
+        memo: Optional[_WorldMemo],
+    ) -> None:
         self.records = records
         self.dirty = dirty
         self.canonical = canonical
+        self.memo = memo
 
 
 def _live_canonical(canonical: dict, records: list) -> dict:
@@ -242,7 +352,9 @@ class Session:
     pins its ``(T, m)`` mask matrix (see ``WorldStore.nbytes``), and
     every distinct (draw, measure, engine, knobs) combination pins its
     per-world records (MPDS ones also the serialized node list of each
-    live candidate), until :meth:`close`.  Size sessions to a working
+    live candidate; entries over dynamic stores also a world memo of at
+    most ``MEMO_LIMIT * theta`` records), until :meth:`close`.  Size
+    sessions to a working
     set (typically one or a few draws queried many ways -- where the
     amortization lives); for unbounded-diversity traffic, close and
     recreate sessions at natural boundaries rather than holding one
@@ -270,8 +382,9 @@ class Session:
         self._eval_flights: Dict[Tuple, threading.Event] = {}
         self._stores: Dict[Tuple, object] = {}
         #: (store key, measure key, engine, ...) -> (records, replayed,
-        #: canonical-order memo that MPDS results serialize through)
-        self._eval_cache: Dict[Tuple, Tuple[list, int, dict]] = {}
+        #: canonical-order memo that MPDS results serialize through,
+        #: world memo or None), or a post-update ``_StaleEval``
+        self._eval_cache: Dict[Tuple, object] = {}
         self._graph_segment = None
         self._published: Dict[Tuple, object] = {}
         #: shared container so the finalizer never references ``self``
@@ -296,9 +409,10 @@ class Session:
             # many deltas were applied, how much work surgery actually
             # did (columns re-drawn in place, worlds whose edge sets
             # flipped), and what it cost the caches (evaluations marked
-            # stale or dropped, stale entries patched lazily, worlds
-            # re-evaluated during patching, continuous-stream stores
-            # evicted)
+            # stale or dropped, stale entries patched lazily, flipped
+            # worlds re-evaluated during patching and flipped worlds
+            # whose record came from the world memo instead,
+            # continuous-stream stores evicted)
             "graph_updates": 0,
             "dynamic_stores_built": 0,
             "stores_updated": 0,
@@ -308,6 +422,7 @@ class Session:
             "evals_invalidated": 0,
             "evals_patched": 0,
             "worlds_reevaluated": 0,
+            "world_memo_hits": 0,
         }
 
     # ------------------------------------------------------------------
@@ -556,6 +671,9 @@ class Session:
 
             new_indexed = IndexedGraph.from_uncertain(self.graph)
             self._indexed = new_indexed
+            # an insert or delete re-lays the mask columns, so packed
+            # rows no longer name the edge sets the world memos saw
+            relaid = bool(resolved.inserts or resolved.deletes)
             updated_flips: Dict[Tuple, set] = {}
             evicted = set()
             for key in list(self._stores):
@@ -581,20 +699,27 @@ class Session:
                     del self._eval_cache[ekey]
                 elif skey in updated_flips:
                     flips = updated_flips[skey]
+                    cached = self._eval_cache[ekey]
+                    if relaid:
+                        # even a delta that flips no world moves columns
+                        if isinstance(cached, _StaleEval):
+                            cached.memo = None
+                        else:
+                            cached = cached[:3] + (None,)
+                            self._eval_cache[ekey] = cached
                     if not flips:
                         continue
-                    cached = self._eval_cache[ekey]
                     if isinstance(cached, _StaleEval):
                         cached.dirty.update(flips)
                     else:
-                        records, replayed, canonical = cached
+                        records, replayed, canonical, memo = cached
                         if replayed:
                             # replay attribution is not per-world, so a
                             # spliced total would lie; drop the entry
                             del self._eval_cache[ekey]
                         else:
                             self._eval_cache[ekey] = _StaleEval(
-                                records, set(flips), canonical
+                                records, set(flips), canonical, memo
                             )
                 else:
                     continue
@@ -929,33 +1054,59 @@ class Query:
                     mode, store, skey, measure, resolved, workers
                 )
                 session._bump("worlds_evaluated", len(records))
-                return records, replayed
+                memo = None
+                if ekey is not None and store.dynamic and not replayed:
+                    memo = _WorldMemo(mode, store, records)
+                return records, replayed, memo
             # per-world records make the splice exact: unflipped worlds
-            # keep their pre-update records and the dirty subset replays
+            # keep their pre-update records, a dirty world whose edge set
+            # the memo holds takes that record, and the misses replay
             # through the same seams a full pass uses.  A stale entry
             # always has replayed == 0 (truncated ones are dropped on
-            # update), so the subset's replay count is the new total.
-            dirty = sorted(stale.dirty)
-            fresh, replayed = self._records(
-                mode, store, skey, measure, resolved, 1, subset=dirty
-            )
+            # update) and memoized records come from batches that
+            # replayed none, so the misses' replay count is the new total.
             records = list(stale.records)
-            for index, record in zip(dirty, fresh):
-                records[index] = record
+            memo = stale.memo
+            dirty = misses = sorted(stale.dirty)
+            if memo is not None:
+                misses = []
+                for index in dirty:
+                    key = _world_key(store, index)
+                    memo.move(index, key)
+                    record = memo.get(key)
+                    if record is None:
+                        misses.append(index)
+                    else:
+                        records[index] = record
+            replayed = 0
+            if misses:
+                fresh, replayed = self._records(
+                    mode, store, skey, measure, resolved, 1, subset=misses
+                )
+                for index, record in zip(misses, fresh):
+                    if memo is not None and not replayed:
+                        record = memo.put(memo.keys[index], record)
+                    records[index] = record
+            if memo is not None:
+                memo.trim()
+            elif not replayed:
+                # the column layout moved: key every world afresh
+                memo = _WorldMemo(mode, store, records)
             with session._lock:
                 session.stats["evals_patched"] += 1
-                session.stats["worlds_reevaluated"] += len(dirty)
-                session.stats["worlds_evaluated"] += len(dirty)
-            return records, replayed
+                session.stats["worlds_reevaluated"] += len(misses)
+                session.stats["worlds_evaluated"] += len(misses)
+                session.stats["world_memo_hits"] += len(dirty) - len(misses)
+            return records, replayed, memo
 
         if ekey is None:
-            return self._finalize(mode, *evaluate(None))
+            return self._finalize(mode, *evaluate(None)[:2])
         while True:
             with session._lock:
                 cached = session._eval_cache.get(ekey)
                 if cached is not None and not isinstance(cached, _StaleEval):
                     session.stats["eval_hits"] += 1
-                    records, replayed, canonical = cached
+                    records, replayed, canonical, _memo = cached
                     break
                 stale = cached  # None, or a post-update _StaleEval
                 flight = session._eval_flights.get(ekey)
@@ -970,12 +1121,14 @@ class Query:
                 flight.wait()
                 continue
             try:
-                records, replayed = evaluate(stale)
+                records, replayed, memo = evaluate(stale)
                 canonical = {}
                 if stale is not None and mode == "mpds":
                     canonical = _live_canonical(stale.canonical, records)
                 with session._lock:
-                    session._eval_cache[ekey] = (records, replayed, canonical)
+                    session._eval_cache[ekey] = (
+                        records, replayed, canonical, memo
+                    )
                 break
             finally:
                 with session._lock:

@@ -26,13 +26,23 @@ Three bugs, three surfaces:
 * ``repro-serve`` never answered a request whose ``Content-Length`` is
   not an integer (the client hung until its timeout), and read a
   negative length as an empty body, leaving the sent bytes on the
-  keep-alive connection -- now both are a 400 and the connection closes.
+  keep-alive connection -- now both are a 400 and the connection closes;
+* ``POST /graphs/<name>/update`` and ``POST /shutdown`` read
+  ``float(body["timeout"])``: with a query in flight, ``1e300`` or
+  ``Infinity`` overflowed ``Condition.wait`` (a 500 on update, a dead
+  shutdown thread and a daemon draining forever), ``NaN`` spun the
+  drain loop, ``true`` meant one second, and misspelt keys
+  (``"timout"``) were ignored -- now the timeout must be a finite,
+  non-negative JSON number, a huge one waits for the drain, and
+  unknown keys are a 400 naming the accepted set.
 """
 
 from __future__ import annotations
 
 import random
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -46,7 +56,13 @@ from repro.datasets.real import load_uncertain_graph
 from repro.engine.bitset import PackedMasks
 from repro.engine.worldstore import WorldStore, _MaskPager
 from repro.graph.io import read_uncertain_edge_list, write_uncertain_edge_list
-from repro.serve import QUERY_KEYS, ReproServer, _delta_groups
+from repro.serve import (
+    QUERY_KEYS,
+    SHUTDOWN_KEYS,
+    UPDATE_KEYS,
+    ReproServer,
+    _delta_groups,
+)
 from repro.session import Session
 from repro.specs import check_int_knob, split_sampler_spec
 
@@ -529,3 +545,120 @@ class TestMalformedContentLength:
         assert response.startswith(b"HTTP/1.1 400 ")
         assert response.count(b"HTTP/1.1") == 1
         assert response.endswith(b'{"error": "invalid Content-Length"}')
+
+
+# ----------------------------------------------------------------------
+# bug 7: update / shutdown timeouts and body keys
+# ----------------------------------------------------------------------
+UPDATE_PATH = "/graphs/g/update"
+MOVE = {"updates": [["A", "B", 0.8]]}
+BAD_TIMEOUTS = [
+    float("inf"), float("-inf"), float("nan"), True, False, -1, -0.5,
+    "5", None, [5], {"s": 5}, pytest.param(10 ** 400, id="10**400"),
+]
+
+
+def _ab_probability(server) -> float:
+    return server._entry("g").graph.probability("A", "B")
+
+
+def _wait_closed(server, seconds=10.0) -> bool:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        with server._lock:
+            if server._closed:
+                return True
+        time.sleep(0.01)
+    return False
+
+
+class TestUpdateBody:
+    @pytest.mark.parametrize("timeout", BAD_TIMEOUTS, ids=repr)
+    def test_bad_timeout_is_400_and_applies_nothing(self, server, timeout):
+        # no query in flight: a NaN must be refused, never waited on
+        status, payload = server.handle(
+            "POST", UPDATE_PATH, dict(MOVE, timeout=timeout)
+        )
+        assert status == 400, payload
+        assert "'timeout'" in payload["error"]
+        assert _ab_probability(server) == 0.4
+
+    def test_bad_timeout_is_refused_before_draining(self, server):
+        server.admission.admit()
+        try:
+            status, payload = server.handle(
+                "POST", UPDATE_PATH, dict(MOVE, timeout=float("inf"))
+            )
+            assert status == 400, payload
+            assert server.admission.snapshot()["paused"] is False
+        finally:
+            server.admission.release()
+
+    @pytest.mark.parametrize("timeout", [0, 2.5, 10 ** 30])
+    def test_finite_non_negative_numbers_are_accepted(self, server, timeout):
+        status, payload = server.handle(
+            "POST", UPDATE_PATH, dict(MOVE, timeout=timeout)
+        )
+        assert status == 200, payload
+        assert _ab_probability(server) == 0.8
+
+    def test_huge_timeout_waits_for_the_drain(self, server):
+        server.admission.admit()
+        timer = threading.Timer(0.2, server.admission.release)
+        timer.start()
+        try:
+            status, payload = server.handle(
+                "POST", UPDATE_PATH, dict(MOVE, timeout=1e300)
+            )
+        finally:
+            timer.join()
+        assert status == 200, payload
+        assert _ab_probability(server) == 0.8
+
+    def test_unknown_key_is_400_naming_the_accepted_set(self, server):
+        status, payload = server.handle(
+            "POST", UPDATE_PATH, dict(MOVE, timout=5)
+        )
+        assert status == 400
+        assert "'timout'" in payload["error"]
+        for key in UPDATE_KEYS:
+            assert repr(key) in payload["error"]
+        assert _ab_probability(server) == 0.4
+
+
+class TestShutdownBody:
+    @pytest.mark.parametrize("timeout", BAD_TIMEOUTS, ids=repr)
+    def test_bad_timeout_is_400_and_keeps_serving(self, server, timeout):
+        status, payload = server.handle(
+            "POST", "/shutdown", {"timeout": timeout}
+        )
+        assert status == 400, payload
+        assert "'timeout'" in payload["error"]
+        assert not server.admission.is_draining()
+
+    def test_unknown_key_is_400_naming_the_accepted_set(self, server):
+        status, payload = server.handle(
+            "POST", "/shutdown", {"timeout": 5, "force": True}
+        )
+        assert status == 400
+        assert "'force'" in payload["error"]
+        for key in SHUTDOWN_KEYS:
+            assert repr(key) in payload["error"]
+        assert not server.admission.is_draining()
+
+    def test_huge_timeout_drains_then_stops(self, server):
+        server.admission.admit()
+        try:
+            status, payload = server.handle(
+                "POST", "/shutdown", {"timeout": 1e300}
+            )
+            assert status == 202, payload
+            assert server.admission.is_draining()
+        finally:
+            server.admission.release()
+        assert _wait_closed(server)
+
+    def test_default_timeout_still_stops(self, server):
+        status, payload = server.handle("POST", "/shutdown", {})
+        assert status == 202, payload
+        assert _wait_closed(server)
