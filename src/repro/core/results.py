@@ -13,8 +13,9 @@ come back as lists) -- ``to_dict`` itself keeps the raw labels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional
 
 NodeSet = FrozenSet[Hashable]
 
@@ -22,6 +23,38 @@ NodeSet = FrozenSet[Hashable]
 def _node_list(nodes: NodeSet) -> list:
     """A frozenset's canonical (repr-sorted) list form for serialization."""
     return sorted(nodes, key=repr)
+
+
+def _number(value) -> str:
+    """``json.dumps(value)``, fast for finite floats (numpy's too)."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+class SerialMemo:
+    """Node set -> its :func:`_node_list` (``to_dict`` fills it, handing
+    out copies) and that list's JSON text (``to_json`` fills it).  Both
+    depend only on the set's members, so racing threads store equal
+    values and nothing goes stale; owners bound it with :meth:`retain`."""
+
+    def __init__(self) -> None:
+        self.lists: Dict[NodeSet, list] = {}
+        self.fragments: Dict[NodeSet, str] = {}
+
+    def fragment(self, nodes: NodeSet) -> str:
+        text = self.fragments.get(nodes)
+        if text is None:
+            text = self.fragments[nodes] = json.dumps(_node_list(nodes))
+        return text
+
+    def retain(self, keep) -> None:
+        """Drop every node set not in ``keep`` (iterating snapshots: a
+        serializing thread may insert meanwhile)."""
+        for table in (self.lists, self.fragments):
+            for nodes in list(table):
+                if nodes not in keep:
+                    table.pop(nodes, None)
 
 
 @dataclass(frozen=True)
@@ -43,7 +76,7 @@ class ScoredNodeSet:
 
 
 class SerializableResult:
-    """Shared wire protocol of the estimator results.
+    """Shared wire protocol and ``top`` accessors of the results.
 
     Subclasses set ``kind`` and implement ``to_dict`` / ``from_dict``;
     the JSON forms and the ``kind`` dispatch of
@@ -51,6 +84,19 @@ class SerializableResult:
     """
 
     kind: str = "abstract"
+    #: why :meth:`best` finds nothing in an empty ``top``
+    nothing: str = "empty result"
+    top: List[ScoredNodeSet]
+
+    def top_sets(self) -> List[NodeSet]:
+        """Return just the node sets of the top-k, in rank order."""
+        return [scored.nodes for scored in self.top]
+
+    def best(self) -> ScoredNodeSet:
+        """Return the rank-1 estimate (raises on empty result)."""
+        if not self.top:
+            raise ValueError(self.nothing)
+        return self.top[0]
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -60,8 +106,20 @@ class SerializableResult:
         raise NotImplementedError
 
     def to_json(self, **kwargs) -> str:
-        """Serialize to a JSON string (``kwargs`` pass to ``json.dumps``)."""
-        return json.dumps(self.to_dict(), **kwargs)
+        """Serialize to a JSON string (``kwargs`` pass to ``json.dumps``;
+        without them the text is assembled from :meth:`_json_fields`,
+        byte-identical to ``json.dumps(self.to_dict())``)."""
+        if kwargs:
+            return json.dumps(self.to_dict(), **kwargs)
+        return "{" + ", ".join([
+            json.dumps(key) + ": " + text
+            for key, text in self._json_fields().items()
+        ]) + "}"
+
+    def _json_fields(self) -> dict:
+        """The JSON text of each :meth:`to_dict` field, in its order."""
+        fields = self.to_dict()
+        return {key: json.dumps(fields[key]) for key in fields}
 
     @classmethod
     def from_json(cls, text: str) -> "SerializableResult":
@@ -104,13 +162,15 @@ class MPDSResult(SerializableResult):
         the pure-Python engine.
 
     A session query hands the result its evaluation-cache entry's
-    canonical-order memo (node set -> :func:`_node_list` form) as the
-    private ``_canonical``, so ``to_dict`` sorts each candidate once per
-    entry instead of once per call.  It takes no part in equality or
+    :class:`SerialMemo` as the private ``_memo``, so each candidate is
+    sorted (``to_dict``) and encoded (``to_json``) once per entry
+    instead of once per call; without one, each call serializes
+    through a throwaway memo.  It takes no part in equality or
     ``repr``.
     """
 
     kind = "mpds"
+    nothing = "no candidate induced a densest subgraph"
 
     top: List[ScoredNodeSet]
     candidates: Dict[NodeSet, float]
@@ -118,29 +178,32 @@ class MPDSResult(SerializableResult):
     worlds_with_densest: int
     densest_counts: List[int] = field(default_factory=list)
     replayed_worlds: int = 0
-    _canonical: Dict[NodeSet, list] = field(
-        default_factory=dict, init=False, compare=False, repr=False
+    _memo: Optional[SerialMemo] = field(
+        default=None, init=False, compare=False, repr=False
     )
 
-    def top_sets(self) -> List[NodeSet]:
-        """Return just the node sets of the top-k, in rank order."""
-        return [scored.nodes for scored in self.top]
-
-    def best(self) -> ScoredNodeSet:
-        """Return the rank-1 MPDS estimate (raises on empty result)."""
-        if not self.top:
-            raise ValueError("no candidate induced a densest subgraph")
-        return self.top[0]
-
     def to_dict(self) -> dict:
-        canonical = self._canonical
+        lists = (self._memo or SerialMemo()).lists
         candidates = []
         for nodes, probability in self.candidates.items():
-            listed = canonical.get(nodes)
+            listed = lists.get(nodes)
             if listed is None:
-                listed = canonical[nodes] = _node_list(nodes)
+                listed = lists[nodes] = _node_list(nodes)
             # a copy: callers may mutate what to_dict returns
             candidates.append([listed[:], probability])
+        return self._fields(candidates)
+
+    def _json_fields(self) -> dict:
+        fragment = (self._memo or SerialMemo()).fragment
+        fields = self._fields(None)
+        fields = {key: json.dumps(fields[key]) for key in fields}
+        fields["candidates"] = "[" + ", ".join([
+            "[" + fragment(nodes) + ", " + _number(probability) + "]"
+            for nodes, probability in self.candidates.items()
+        ]) + "]"
+        return fields
+
+    def _fields(self, candidates) -> dict:
         return {
             "kind": self.kind,
             "top": [scored.to_dict() for scored in self.top],
@@ -177,20 +240,11 @@ class NDSResult(SerializableResult):
     """
 
     kind = "nds"
+    nothing = "no closed node set of the requested size found"
 
     top: List[ScoredNodeSet]
     theta: int
     transactions: int
-
-    def top_sets(self) -> List[NodeSet]:
-        """Return just the node sets of the top-k, in rank order."""
-        return [scored.nodes for scored in self.top]
-
-    def best(self) -> ScoredNodeSet:
-        """Return the rank-1 NDS estimate (raises on empty result)."""
-        if not self.top:
-            raise ValueError("no closed node set of the requested size found")
-        return self.top[0]
 
     def to_dict(self) -> dict:
         return {

@@ -388,8 +388,20 @@ class AdmissionController:
         with self._lock:
             return self.draining
 
+    @staticmethod
+    def check_timeout(timeout: Optional[float]) -> None:
+        """Reject a drain ``timeout`` that is not ``None`` or a finite,
+        non-negative number of seconds (a NaN deadline never passes, so
+        the drain wait would spin)."""
+        if timeout is not None and not 0 <= timeout <= sys.float_info.max:
+            raise ValueError(
+                f"timeout must be None or a finite, non-negative number "
+                f"of seconds, got {timeout!r}"
+            )
+
     def wait_drained(self, timeout: Optional[float] = None) -> bool:
         """Block until every admitted request released (or timeout)."""
+        self.check_timeout(timeout)
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while self.active > 0:
@@ -417,6 +429,7 @@ class AdmissionController:
         The caller must **not** have admitted itself -- it would wait
         on its own drain.
         """
+        self.check_timeout(timeout)
         with self._lock:
             self.paused += 1
         try:
@@ -658,8 +671,10 @@ class ReproServer:
         every in-flight query to finish, stops the listener, and closes
         every session (releasing cached world stores and published
         shared-memory segments).  Idempotent.  Returns ``True`` when
-        the drain completed before the timeout.
+        the drain completed before the timeout; a NaN, infinite or
+        negative ``timeout`` raises ``ValueError`` before anything stops.
         """
+        self.admission.check_timeout(timeout)
         self.admission.begin_drain()
         drained = self.admission.wait_drained(timeout)
         with self._lock:

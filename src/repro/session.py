@@ -86,13 +86,14 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .core.measures import DensityMeasure, EdgeDensity
 from .core.mpds import finalize_mpds
 from .core.nds import accumulate_transactions, finalize_nds
 from .core.parallel import evaluate_records
-from .core.results import MPDSResult, NDSResult
+from .core.results import MPDSResult, NDSResult, SerialMemo
 from .graph.uncertain import UncertainGraph
 from .specs import (
     build_measure,
@@ -164,19 +165,18 @@ class _WorldMemo:
     record was computed, and ``live`` counts the worlds holding each
     key.  Live records are never trimmed; a store holds ``theta``
     worlds, so at most ``theta`` records are live.  ``sets`` interns
-    the node sets the records hold, so a record computed again shares
-    the sets the memo already keeps.
+    the node sets the records hold (a record computed again shares the
+    sets the memo keeps); the entry's ``serial`` keeps no other sets.
 
     Keys compare packed rows, which only means "same edge set" within
     one column layout: an insert or delete changes the layout, and
-    :meth:`Session.update` drops the memo (the next patch seeds a new
-    one).
+    :meth:`Session.update` drops the memo (the next patch seeds one).
     """
 
     __slots__ = ("family", "records", "keys", "live", "sets", "limit",
-                 "keep")
+                 "keep", "serial")
 
-    def __init__(self, mode: str, store, records: list) -> None:
+    def __init__(self, mode: str, store, records: list, serial) -> None:
         self.family = mode == "mpds"
         self.limit = MEMO_LIMIT * store.count
         self.keep = MEMO_KEEP * store.count
@@ -186,6 +186,8 @@ class _WorldMemo:
         self.live = Counter(self.keys)
         for i, key in enumerate(self.keys):
             records[i] = self.put(key, records[i])
+        self.serial: SerialMemo = serial
+        serial.retain(self.sets)
 
     def get(self, key) -> Optional[tuple]:
         """The record memoized under ``key`` (refreshing its recency),
@@ -220,7 +222,8 @@ class _WorldMemo:
 
     def trim(self) -> None:
         """Past ``limit`` records, drop the least recently used
-        displaced ones down to ``keep`` and re-intern what is left."""
+        displaced ones down to ``keep``, re-intern what is left and
+        drop the node sets no longer interned from ``serial``."""
         if len(self.records) <= self.limit:
             return
         excess = len(self.records) - self.keep
@@ -233,57 +236,28 @@ class _WorldMemo:
         self.sets = {}
         for key, record in list(self.records.items()):
             self.put(key, record)
+        self.serial.retain(self.sets)
 
 
-class _StaleEval:
-    """An evaluation-cache entry awaiting per-world re-evaluation.
+@dataclass(eq=False)
+class _EvalEntry:
+    """One evaluation-cache entry: per-world ``records``, their
+    ``replayed`` count and the ``dirty`` worlds that updates flipped.
 
-    :meth:`Session.update` marks an entry stale instead of recomputing
-    it eagerly: ``records`` are the pre-update per-world records and
-    ``dirty`` the indices of the worlds that flipped.  The next query
-    that hits the entry looks each dirty world's current edge set up in
-    ``memo`` (the entry's :class:`_WorldMemo`), re-evaluates *only* the
-    misses (the store's ``subset`` replay), memoizes them and splices
-    hits and fresh records in -- byte-identical to a full
-    re-evaluation, since records are strictly per-world.  Repeated
-    updates union their flips into ``dirty``.  Only entries whose
-    original evaluation replayed zero truncated worlds are marked (a
-    truncated entry's replay attribution is not per-world, so updates
-    drop it instead), and only miss batches that replayed none are
-    memoized.  ``memo`` is ``None`` after an insert or delete (the
-    column layout changed, so every dirty world misses and the patch
-    seeds a fresh memo).  ``canonical`` is the entry's canonical-order
-    memo, carried over to the patched entry minus the node sets its
-    fresh records no longer hold.
+    A query that hits a dirty entry looks each dirty world's edge set
+    up in ``memo`` (the :class:`_WorldMemo`; ``None`` over a
+    continuous-stream store or after an insert or delete) and evaluates
+    only the misses: records are per-world, so the splice is
+    byte-identical to a full pass.  Updates drop entries that replayed
+    truncated worlds.  MPDS results serialize through ``serial``, which
+    outlives patches; the world memo bounds it.
     """
 
-    __slots__ = ("records", "dirty", "canonical", "memo")
-
-    def __init__(
-        self,
-        records: list,
-        dirty: set,
-        canonical: dict,
-        memo: Optional[_WorldMemo],
-    ) -> None:
-        self.records = records
-        self.dirty = dirty
-        self.canonical = canonical
-        self.memo = memo
-
-
-def _live_canonical(canonical: dict, records: list) -> dict:
-    """The part of an MPDS entry's canonical-order memo that its
-    ``records`` still hold as candidates (so it cannot grow across
-    updates).  A list depends only on its set's members, so whatever
-    survives is still exact."""
-    live = {}
-    for densest_sets, _weight in records:
-        for nodes in densest_sets:
-            listed = canonical.get(nodes)
-            if listed is not None:
-                live[nodes] = listed
-    return live
+    records: list
+    replayed: int
+    memo: Optional[_WorldMemo]
+    serial: SerialMemo
+    dirty: set = field(default_factory=set)
 
 
 def _measure_key(measure: DensityMeasure) -> Optional[Tuple]:
@@ -351,14 +325,14 @@ class Session:
     evicted -- every distinct seeded ``(sampler, theta, seed)`` draw
     pins its ``(T, m)`` mask matrix (see ``WorldStore.nbytes``), and
     every distinct (draw, measure, engine, knobs) combination pins its
-    per-world records (MPDS ones also the serialized node list of each
-    live candidate; entries over dynamic stores also a world memo of at
-    most ``MEMO_LIMIT * theta`` records), until :meth:`close`.  Size
-    sessions to a working
-    set (typically one or a few draws queried many ways -- where the
-    amortization lives); for unbounded-diversity traffic, close and
-    recreate sessions at natural boundaries rather than holding one
-    forever.
+    per-world records (MPDS ones also the canonical list and JSON
+    fragment of each candidate they serialized; entries over dynamic
+    stores also a world memo of at most ``MEMO_LIMIT * theta`` records,
+    which bounds those fragments too), until :meth:`close`.  Size
+    sessions to a working set (typically one or a few draws queried
+    many ways -- where the amortization lives); for unbounded-diversity
+    traffic, close and recreate sessions at natural boundaries rather
+    than holding one forever.
     """
 
     def __init__(
@@ -381,10 +355,8 @@ class Session:
         #: eval key -> Event set when the leader's records land (or fail)
         self._eval_flights: Dict[Tuple, threading.Event] = {}
         self._stores: Dict[Tuple, object] = {}
-        #: (store key, measure key, engine, ...) -> (records, replayed,
-        #: canonical-order memo that MPDS results serialize through,
-        #: world memo or None), or a post-update ``_StaleEval``
-        self._eval_cache: Dict[Tuple, object] = {}
+        #: (store key, measure key, engine, ...) -> ``_EvalEntry``
+        self._eval_cache: Dict[Tuple, _EvalEntry] = {}
         self._graph_segment = None
         self._published: Dict[Tuple, object] = {}
         #: shared container so the finalizer never references ``self``
@@ -683,48 +655,30 @@ class Session:
                     summary["columns_redrawn"] += outcome.columns_redrawn
                     summary["worlds_flipped"] += len(outcome.flipped)
                     summary["stores_updated"] += 1
-                    self.stats["columns_redrawn"] += outcome.columns_redrawn
-                    self.stats["worlds_flipped"] += len(outcome.flipped)
-                    self.stats["stores_updated"] += 1
                     updated_flips[key] = {int(i) for i in outcome.flipped}
                 else:
                     del self._stores[key]
                     store.close()
                     evicted.add(key)
                     summary["stores_evicted"] += 1
-                    self.stats["stores_evicted"] += 1
-            for ekey in list(self._eval_cache):
-                skey = ekey[1]
-                if skey in evicted:
+            for ekey, entry in list(self._eval_cache.items()):
+                flips = updated_flips.get(ekey[1])
+                if flips is not None and relaid:
+                    # even a delta that flips no world moves columns
+                    entry.memo = None
+                if ekey[1] in evicted or (flips and entry.replayed):
+                    # (a truncated entry's replay attribution is not
+                    # per-world, so a spliced total would lie)
                     del self._eval_cache[ekey]
-                elif skey in updated_flips:
-                    flips = updated_flips[skey]
-                    cached = self._eval_cache[ekey]
-                    if relaid:
-                        # even a delta that flips no world moves columns
-                        if isinstance(cached, _StaleEval):
-                            cached.memo = None
-                        else:
-                            cached = cached[:3] + (None,)
-                            self._eval_cache[ekey] = cached
-                    if not flips:
-                        continue
-                    if isinstance(cached, _StaleEval):
-                        cached.dirty.update(flips)
-                    else:
-                        records, replayed, canonical, memo = cached
-                        if replayed:
-                            # replay attribution is not per-world, so a
-                            # spliced total would lie; drop the entry
-                            del self._eval_cache[ekey]
-                        else:
-                            self._eval_cache[ekey] = _StaleEval(
-                                records, set(flips), canonical, memo
-                            )
+                elif flips:
+                    entry.dirty.update(flips)
                 else:
                     continue
                 summary["evals_invalidated"] += 1
-                self.stats["evals_invalidated"] += 1
+            for counter in ("columns_redrawn", "worlds_flipped",
+                            "stores_updated", "stores_evicted",
+                            "evals_invalidated"):
+                self.stats[counter] += summary[counter]
             # published segments snapshot pre-update arrays; unlink them
             self._graph_segment = None
             self._published.clear()
@@ -1044,7 +998,7 @@ class Query:
             else (mode, skey, mkey, resolved) + self._knobs(mode)
         )
 
-        def evaluate(stale: Optional[_StaleEval]):
+        def evaluate(stale: Optional[_EvalEntry]) -> _EvalEntry:
             store = session._store_for(
                 self._sampler_kind, self._sampler_params, theta, self._seed,
                 self._dynamic,
@@ -1054,19 +1008,19 @@ class Query:
                     mode, store, skey, measure, resolved, workers
                 )
                 session._bump("worlds_evaluated", len(records))
-                memo = None
+                memo, serial = None, SerialMemo()
                 if ekey is not None and store.dynamic and not replayed:
-                    memo = _WorldMemo(mode, store, records)
-                return records, replayed, memo
+                    memo = _WorldMemo(mode, store, records, serial)
+                return _EvalEntry(records, replayed, memo, serial)
             # per-world records make the splice exact: unflipped worlds
             # keep their pre-update records, a dirty world whose edge set
             # the memo holds takes that record, and the misses replay
-            # through the same seams a full pass uses.  A stale entry
+            # through the same seams a full pass uses.  A dirty entry
             # always has replayed == 0 (truncated ones are dropped on
             # update) and memoized records come from batches that
             # replayed none, so the misses' replay count is the new total.
             records = list(stale.records)
-            memo = stale.memo
+            memo, serial = stale.memo, stale.serial
             dirty = misses = sorted(stale.dirty)
             if memo is not None:
                 misses = []
@@ -1091,50 +1045,44 @@ class Query:
                 memo.trim()
             elif not replayed:
                 # the column layout moved: key every world afresh
-                memo = _WorldMemo(mode, store, records)
+                memo = _WorldMemo(mode, store, records, serial)
             with session._lock:
                 session.stats["evals_patched"] += 1
                 session.stats["worlds_reevaluated"] += len(misses)
                 session.stats["worlds_evaluated"] += len(misses)
                 session.stats["world_memo_hits"] += len(dirty) - len(misses)
-            return records, replayed, memo
+            return _EvalEntry(records, replayed, memo, serial)
 
         if ekey is None:
-            return self._finalize(mode, *evaluate(None)[:2])
+            entry = evaluate(None)
+            return self._finalize(mode, entry.records, entry.replayed)
         while True:
             with session._lock:
-                cached = session._eval_cache.get(ekey)
-                if cached is not None and not isinstance(cached, _StaleEval):
+                entry = session._eval_cache.get(ekey)
+                if entry is not None and not entry.dirty:
                     session.stats["eval_hits"] += 1
-                    records, replayed, canonical, _memo = cached
                     break
-                stale = cached  # None, or a post-update _StaleEval
                 flight = session._eval_flights.get(ekey)
-                if flight is None:
-                    flight = threading.Event()
-                    session._eval_flights[ekey] = flight
-                    leader = True
+                leader = flight is None
+                if leader:
+                    flight = session._eval_flights[ekey] = threading.Event()
                 else:
-                    leader = False
                     session.stats["eval_waits"] += 1
             if not leader:
                 flight.wait()
                 continue
             try:
-                records, replayed, memo = evaluate(stale)
-                canonical = {}
-                if stale is not None and mode == "mpds":
-                    canonical = _live_canonical(stale.canonical, records)
+                entry = evaluate(entry)  # None, or a dirty entry
                 with session._lock:
-                    session._eval_cache[ekey] = (
-                        records, replayed, canonical, memo
-                    )
+                    session._eval_cache[ekey] = entry
                 break
             finally:
                 with session._lock:
                     session._eval_flights.pop(ekey, None)
                 flight.set()
-        return self._finalize(mode, records, replayed, canonical)
+        return self._finalize(
+            mode, entry.records, entry.replayed, entry.serial
+        )
 
     def _transient_store(self, theta: int):
         """Draw an uncached store: an unseeded spec draw, or an MC/LP/RSS
@@ -1217,17 +1165,13 @@ class Query:
             mode, worlds, loop_measure, engine_measure, *self._knobs(mode)
         )
 
-    def _finalize(self, mode, records, replayed, canonical=None):
-        """Rank cached records -- the only per-query work on a warm hit.
-
-        ``canonical`` is the evaluation-cache entry's memo, which the
-        MPDS result serializes through (one-shot results keep their
-        own empty one)."""
+    def _finalize(self, mode, records, replayed, serial=None):
+        """Rank cached records -- the only per-query work on a warm hit;
+        an MPDS result serializes through ``serial``, the entry's memo."""
         if mode == "mpds":
             result = finalize_mpds(iter(records), self._k)
             result.replayed_worlds = replayed
-            if canonical is not None:
-                result._canonical = canonical
+            result._memo = serial
             return result
         transactions, weights, total_weight, actual_theta = (
             accumulate_transactions(iter(records))

@@ -6,10 +6,11 @@ rank-k boundary.  Its contract is that nothing observable changes: the
 same top-k, estimates and counters as the frozen full-sort reference
 (``tests/_finalize_reference.py``), compared as ``to_json()`` bytes.
 
-The second half pins the canonical-order memo that a session's
+The second half pins the serialization memo that a session's
 evaluation-cache entry shares with the MPDS results it serves: it hands
-out copies, stays bounded by the entry's candidates across updates, and
-takes no part in equality, ``repr`` or the wire round-trip.
+out copies, stays within the world memo's interned node sets across
+updates, and takes no part in equality, ``repr`` or the wire
+round-trip.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.mpds import finalize_mpds, rank_top_k
 from repro.core.results import MPDSResult
 from repro.delta import GraphDelta
-from repro.session import Session
+from repro.session import MEMO_LIMIT, Session
 
 from ._finalize_reference import reference_finalize_mpds
 from .conftest import random_uncertain_graph
@@ -154,7 +155,7 @@ def test_bench_store_matches_reference(bench_records, k):
 
 
 # ----------------------------------------------------------------------
-# the canonical-order memo
+# the serialization memo
 # ----------------------------------------------------------------------
 THETA = 32
 
@@ -186,9 +187,9 @@ def test_mutating_to_dict_output_cannot_poison_the_memo(dense_graph):
 
 
 def _entry(session: Session):
-    """``(records, replayed, canonical)`` of the session's one entry."""
+    """The session's one evaluation-cache entry."""
     (entry,) = session._eval_cache.values()
-    return entry[:3]
+    return entry
 
 
 def test_memo_stays_bounded_across_update_pairs(dense_graph):
@@ -203,12 +204,21 @@ def test_memo_stays_bounded_across_update_pairs(dense_graph):
             for probability in (moved, p):
                 session.update(GraphDelta(updates=[(u, v, probability)]))
                 text = _query(session).to_json()
-                records, _replayed, canonical = _entry(session)
-                live = {nodes for sets, _ in records for nodes in sets}
-                # to_json filled every candidate; pruning dropped the rest
-                assert set(canonical) == live
+                entry = _entry(session)
+                live = {nodes for sets, _ in entry.records for nodes in sets}
+                held = {
+                    nodes
+                    for sets, _ in entry.memo.records.values()
+                    for nodes in sets
+                }
+                # to_json filled every candidate; the memo holds only
+                # sets the world memo interns, within its record bound
+                assert live <= set(entry.serial.fragments)
+                assert set(entry.serial.fragments) <= set(entry.memo.sets)
+                assert set(entry.memo.sets) == held
+                assert len(entry.memo.records) <= MEMO_LIMIT * THETA
                 seen |= live
-        # candidates came and went, so only pruning kept the memo bounded
+        # candidates came and went, so only the bound kept the memo small
         assert session.stats["evals_patched"] > 0 and len(seen) > len(live)
     with Session(dense_graph.copy()) as scratch:
         assert _query(scratch).to_json() == text
@@ -217,14 +227,14 @@ def test_memo_stays_bounded_across_update_pairs(dense_graph):
 def test_memo_is_invisible_to_equality_repr_and_round_trip(dense_graph):
     with Session(dense_graph) as session:
         result = _query(session)
-        records = _entry(session)[0]
+        records = _entry(session).records
     fresh = finalize_mpds(iter(records), 5)
     before = repr(result)
     result.to_dict()
-    assert result._canonical and not fresh._canonical
+    assert result._memo.lists and fresh._memo is None
     assert result == fresh
     assert repr(result) == before == repr(fresh)
-    assert "_canonical" not in before
+    assert "_memo" not in before
     assert MPDSResult.from_json(result.to_json()) == result
     assert MPDSResult.from_dict(result.to_dict()) == result
     assert result.to_json() == fresh.to_json()
@@ -236,8 +246,8 @@ def test_threads_fill_one_memo_consistently(dense_graph):
     the entry's candidates behind."""
     with Session(dense_graph) as session:
         result = _query(session)
-        expected = finalize_mpds(iter(_entry(session)[0]), 5).to_json()
-        memo = _entry(session)[2]
+        expected = finalize_mpds(iter(_entry(session).records), 5).to_json()
+        memo = _entry(session).serial.fragments
         texts = []
 
         def serialize():

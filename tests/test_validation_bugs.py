@@ -34,7 +34,12 @@ Three bugs, three surfaces:
   drain loop, ``true`` meant one second, and misspelt keys
   (``"timout"``) were ignored -- now the timeout must be a finite,
   non-negative JSON number, a huge one waits for the drain, and
-  unknown keys are a 400 naming the accepted set.
+  unknown keys are a 400 naming the accepted set;
+* Python callers of ``AdmissionController.wait_drained`` /
+  ``exclusive`` and ``ReproServer.shutdown`` could still pass a NaN
+  timeout, and the drain loop spun on a core until the in-flight
+  request released -- now the controller raises ``ValueError`` for a
+  non-finite or negative timeout before any wait.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from repro.serve import (
     QUERY_KEYS,
     SHUTDOWN_KEYS,
     UPDATE_KEYS,
+    AdmissionController,
     ReproServer,
     _delta_groups,
 )
@@ -662,3 +668,63 @@ class TestShutdownBody:
         status, payload = server.handle("POST", "/shutdown", {})
         assert status == 202, payload
         assert _wait_closed(server)
+
+
+# ----------------------------------------------------------------------
+# bug 8: Python-side drain timeouts
+# ----------------------------------------------------------------------
+UNWAITABLE = [float("nan"), float("inf"), float("-inf"), -1, -0.5]
+
+
+def _refused_at_once(call, admission) -> None:
+    """With one request in flight, ``call`` raises ``ValueError`` at
+    once and leaves no thread behind; a spinning drain would hold the
+    call until the safety release."""
+    threads = set(threading.enumerate())
+    admission.admit()
+    safety = threading.Timer(5.0, admission.release)
+    safety.start()
+    started = time.monotonic()
+    try:
+        with pytest.raises(ValueError, match="timeout"):
+            call()
+        assert time.monotonic() - started < 1.0
+    finally:
+        safety.cancel()
+        safety.join()
+        admission.release()
+    assert set(threading.enumerate()) <= threads
+    assert admission.snapshot()["active"] == 0
+
+
+class TestControllerTimeout:
+    @pytest.mark.parametrize("timeout", UNWAITABLE, ids=repr)
+    def test_wait_drained_refuses(self, timeout):
+        ctl = AdmissionController()
+        _refused_at_once(lambda: ctl.wait_drained(timeout), ctl)
+
+    @pytest.mark.parametrize("timeout", UNWAITABLE, ids=repr)
+    def test_exclusive_refuses_before_pausing(self, timeout):
+        ctl = AdmissionController()
+
+        def enter():
+            with ctl.exclusive(timeout):
+                pytest.fail("the exclusive section must not run")
+
+        _refused_at_once(enter, ctl)
+        assert ctl.snapshot()["paused"] is False
+
+    @pytest.mark.parametrize("timeout", UNWAITABLE, ids=repr)
+    def test_shutdown_refuses_before_draining(self, server, timeout):
+        _refused_at_once(lambda: server.shutdown(timeout), server.admission)
+        assert not server.admission.is_draining()
+        status, payload = server.handle("GET", "/health", None)
+        assert status == 200 and payload["draining"] is False
+
+    def test_none_and_finite_timeouts_still_wait(self):
+        ctl = AdmissionController()
+        assert ctl.wait_drained(None) is True
+        ctl.admit()
+        assert ctl.wait_drained(0) is False
+        ctl.release()
+        assert ctl.wait_drained(0.0) is True

@@ -65,7 +65,7 @@ def _memos(session):
     """The world memos of the session's evaluation entries."""
     memos = []
     for entry in session._eval_cache.values():
-        memo = entry.memo if hasattr(entry, "memo") else entry[3]
+        memo = entry.memo
         if memo is not None:
             memos.append(memo)
     return memos
@@ -287,6 +287,9 @@ def test_drifting_stream_stays_within_the_bound():
             assert len(memo.records) <= MEMO_LIMIT * THETA
             assert all(key in memo.records for key in memo.keys)
             assert set(memo.live) == set(memo.keys)
+            # trimming shrinks the serialization memo along with it
+            (entry,) = live._eval_cache.values()
+            assert set(entry.serial.fragments) <= set(memo.sets)
         assert len(seen) > MEMO_LIMIT * THETA and trimmed
         assert MEMO_KEEP < MEMO_LIMIT
 
@@ -302,7 +305,7 @@ def test_records_share_interned_node_sets():
         _query(session, "mc").top_k(5).mpds()
         (entry,) = session._eval_cache.values()
         (memo,) = _memos(session)
-        for densest_sets, _weight in entry[0]:
+        for densest_sets, _weight in entry.records:
             for nodes in densest_sets:
                 assert memo.sets[nodes] is nodes
 
