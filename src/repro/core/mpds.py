@@ -14,12 +14,12 @@ shows can understate probabilities by up to 20x (Section VI-D).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..graph.uncertain import UncertainGraph
 from ..sampling.base import WorldSampler
 from .measures import DensityMeasure, EdgeDensity
-from .results import MPDSResult, NodeSet, ScoredNodeSet
+from .results import MPDSResult, MPDSTally, NodeSet, ScoredNodeSet
 
 #: one evaluated world: (its densest node sets, its estimator weight)
 WorldRecord = Tuple[List[NodeSet], float]
@@ -79,8 +79,9 @@ def rank_top_k(
     ]
 
 
-def finalize_mpds(records: Iterable[WorldRecord], k: int) -> MPDSResult:
-    """Accumulate per-world records into the ranked Algorithm 1 result.
+def accumulate_mpds(records: Iterable[WorldRecord]) -> MPDSTally:
+    """Accumulate per-world records into the k-independent
+    :class:`MPDSTally` of Algorithm 1.
 
     The accumulation half of the loop, again shared by the in-process
     and fan-out evaluations.  Records must arrive in world-stream order:
@@ -108,13 +109,38 @@ def finalize_mpds(records: Iterable[WorldRecord], k: int) -> MPDSResult:
         estimates = {
             nodes: weight / total_weight for nodes, weight in estimates.items()
         }
-    return MPDSResult(
-        top=rank_top_k(estimates.items(), k),
-        candidates=estimates,
-        theta=actual_theta,
-        worlds_with_densest=worlds_with_densest,
-        densest_counts=densest_counts,
+    return MPDSTally(estimates, actual_theta, worlds_with_densest,
+                     densest_counts)
+
+
+def finalize_mpds(
+    records: Union[Iterable[WorldRecord], MPDSTally], k: int
+) -> MPDSResult:
+    """Rank per-world records (accumulated by :func:`accumulate_mpds`)
+    or an already accumulated tally into the Algorithm 1 result.
+
+    The result copies the tally's candidates and counts and keeps the
+    tally as its ``_base``, whose candidates text it shares.  A session
+    evaluation entry passes the tally it keeps, so a warm hit only
+    ranks, and only when its ``k`` outgrows the tally's ranked prefix:
+    :func:`rank_top_k` for ``k`` is the first ``k`` pairs of any longer
+    ranking.
+    """
+    tally = (
+        records if isinstance(records, MPDSTally) else accumulate_mpds(records)
     )
+    ranked = tally.ranked
+    if ranked is None or len(ranked) < min(k, len(tally.candidates)):
+        ranked = tally.ranked = rank_top_k(tally.candidates.items(), k)
+    result = MPDSResult(
+        top=ranked[:k],
+        candidates=dict(tally.candidates),
+        theta=tally.theta,
+        worlds_with_densest=tally.worlds_with_densest,
+        densest_counts=list(tally.densest_counts),
+    )
+    result._base = tally
+    return result
 
 
 def mpds_from_store(

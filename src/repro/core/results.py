@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Dict, FrozenSet, Hashable, List, Optional
 
 NodeSet = FrozenSet[Hashable]
@@ -55,6 +56,60 @@ class SerialMemo:
             for nodes in list(table):
                 if nodes not in keep:
                     table.pop(nodes, None)
+
+
+class ResultDict(dict):
+    """What ``to_dict`` returns: a plain ``dict`` of the wire fields
+    that also keeps the ``result`` it was built from, so an encoder can
+    write ``result.to_json()`` (byte-identical to ``json.dumps`` of the
+    dict) instead of encoding the dict again.  That holds while neither
+    the dict nor the result is mutated; ``repro-serve`` encodes a reply
+    it has just built."""
+
+    __slots__ = ("result",)
+
+    def __init__(self, result: "SerializableResult", fields: dict) -> None:
+        super().__init__(fields)
+        self.result = result
+
+
+class MPDSTally:
+    """The k-independent half of an Algorithm 1 result: the normalized
+    estimate of every candidate, the world counters, and two caches
+    filled on demand (``None`` until then): ``ranked``, the top of the
+    ranking for the largest k asked so far (a smaller k takes its
+    prefix), and ``text``, the candidates' JSON array once a second
+    result serialized it (``serialized`` marks the first), so a tally
+    serialized once holds no copy of its reply's largest part.
+
+    :func:`repro.core.mpds.finalize_mpds` builds one and ranks it; a
+    session's evaluation entry keeps it, so a warm hit only ranks.
+    Results copy ``candidates`` and ``densest_counts``, so nothing a
+    caller does to a result reaches the tally.
+    """
+
+    __slots__ = ("candidates", "theta", "worlds_with_densest",
+                 "densest_counts", "ranked", "text", "serialized")
+
+    def __init__(self, candidates: Dict[NodeSet, float], theta: int,
+                 worlds_with_densest: int, densest_counts: List[int]) -> None:
+        self.candidates = candidates
+        self.theta = theta
+        self.worlds_with_densest = worlds_with_densest
+        self.densest_counts = densest_counts
+        self.ranked: Optional[List[ScoredNodeSet]] = None
+        self.text: Optional[str] = None
+        self.serialized = False
+
+
+def _same_items(mine: dict, theirs: dict) -> bool:
+    """Whether two dicts hold the very same keys and values, in the
+    same order (identity, so ``1`` never passes for ``1.0``)."""
+    return (
+        len(mine) == len(theirs)
+        and all(map(is_, mine, theirs))
+        and all(map(is_, mine.values(), theirs.values()))
+    )
 
 
 @dataclass(frozen=True)
@@ -98,7 +153,7 @@ class SerializableResult:
             raise ValueError(self.nothing)
         return self.top[0]
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> ResultDict:
         raise NotImplementedError
 
     @classmethod
@@ -161,12 +216,16 @@ class MPDSResult(SerializableResult):
         the replay keeps it byte-identical across engines).  Always 0 on
         the pure-Python engine.
 
-    A session query hands the result its evaluation-cache entry's
-    :class:`SerialMemo` as the private ``_memo``, so each candidate is
-    sorted (``to_dict``) and encoded (``to_json``) once per entry
-    instead of once per call; without one, each call serializes
-    through a throwaway memo.  It takes no part in equality or
-    ``repr``.
+    Two private fields take no part in equality or ``repr``.  A
+    session query hands the result its evaluation-cache entry's
+    :class:`SerialMemo` as ``_memo``, so each candidate is sorted
+    (``to_dict``) and encoded (``to_json``) once per entry instead of
+    once per call; without one, each call serializes through a
+    throwaway memo.  ``_base`` is the :class:`MPDSTally` the result was
+    ranked from: while ``candidates`` still holds the tally's very
+    items in its order, ``to_json`` reuses the tally's candidates text
+    (or fills it, from the tally's second serialization on) instead of
+    joining every fragment again.
     """
 
     kind = "mpds"
@@ -181,8 +240,11 @@ class MPDSResult(SerializableResult):
     _memo: Optional[SerialMemo] = field(
         default=None, init=False, compare=False, repr=False
     )
+    _base: Optional[MPDSTally] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> ResultDict:
         lists = (self._memo or SerialMemo()).lists
         candidates = []
         for nodes, probability in self.candidates.items():
@@ -191,17 +253,32 @@ class MPDSResult(SerializableResult):
                 listed = lists[nodes] = _node_list(nodes)
             # a copy: callers may mutate what to_dict returns
             candidates.append([listed[:], probability])
-        return self._fields(candidates)
+        return ResultDict(self, self._fields(candidates))
 
     def _json_fields(self) -> dict:
-        fragment = (self._memo or SerialMemo()).fragment
         fields = self._fields(None)
         fields = {key: json.dumps(fields[key]) for key in fields}
-        fields["candidates"] = "[" + ", ".join([
+        base = self._base
+        text = None
+        if base is not None:
+            if base.serialized and _same_items(self.candidates,
+                                               base.candidates):
+                text = base.text
+                if text is None:
+                    # racing threads store equal texts
+                    text = base.text = self._candidates_json()
+            base.serialized = True
+        fields["candidates"] = (
+            self._candidates_json() if text is None else text
+        )
+        return fields
+
+    def _candidates_json(self) -> str:
+        fragment = (self._memo or SerialMemo()).fragment
+        return "[" + ", ".join([
             "[" + fragment(nodes) + ", " + _number(probability) + "]"
             for nodes, probability in self.candidates.items()
         ]) + "]"
-        return fields
 
     def _fields(self, candidates) -> dict:
         return {
@@ -246,13 +323,13 @@ class NDSResult(SerializableResult):
     theta: int
     transactions: int
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self) -> ResultDict:
+        return ResultDict(self, {
             "kind": self.kind,
             "top": [scored.to_dict() for scored in self.top],
             "theta": self.theta,
             "transactions": self.transactions,
-        }
+        })
 
     @classmethod
     def from_dict(cls, data: dict) -> "NDSResult":

@@ -87,6 +87,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cli import _workers_arg
+from .core.results import ResultDict
 from .graph.io import normalize_labels, parse_uncertain_edge_list
 from .graph.uncertain import UncertainGraph
 from .session import Session
@@ -487,6 +488,32 @@ class AdmissionController:
 # ----------------------------------------------------------------------
 # HTTP plumbing
 # ----------------------------------------------------------------------
+def encode_reply(payload: dict) -> bytes:
+    """The response body: ``json.dumps(payload).encode()``, byte for byte.
+
+    A top-level :class:`~repro.core.results.ResultDict` value (a
+    result's ``to_dict()``) is written as its result's ``to_json()``
+    text instead of being encoded again; a session's MPDS results reuse
+    their evaluation entry's cached candidates text there, so a warm
+    reply encodes only its small fields.  The splice joins the fields
+    with ``json.dumps``'s default separators; a payload with a
+    non-string key is encoded whole.
+    """
+    if not (
+        any(type(value) is ResultDict for value in payload.values())
+        and all(type(key) is str for key in payload)
+    ):
+        return json.dumps(payload).encode("utf-8")
+    return ("{" + ", ".join([
+        json.dumps(key) + ": " + (
+            value.result.to_json()
+            if type(value) is ResultDict
+            else json.dumps(value)
+        )
+        for key, value in payload.items()
+    ]) + "}").encode("utf-8")
+
+
 class _HTTPError(Exception):
     """A routed error with an HTTP status."""
 
@@ -532,7 +559,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(status, payload)
 
     def _reply(self, status: int, payload: dict) -> None:
-        data = json.dumps(payload).encode("utf-8")
+        data = encode_reply(payload)
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -969,9 +996,9 @@ class ReproServer:
             else None
         )
         cold = store_key is None or not session.has_store(store_key)
+        # the session's index counts edges in O(1); every query builds it
         workers = self.admission.route(
-            session, store_key, theta, entry.graph.number_of_edges(),
-            body.get("workers"),
+            session, store_key, theta, session.indexed.m, body.get("workers"),
         )
 
         query = session.query().sampler(

@@ -93,7 +93,7 @@ from .core.measures import DensityMeasure, EdgeDensity
 from .core.mpds import finalize_mpds
 from .core.nds import accumulate_transactions, finalize_nds
 from .core.parallel import evaluate_records
-from .core.results import MPDSResult, NDSResult, SerialMemo
+from .core.results import MPDSResult, MPDSTally, NDSResult, SerialMemo
 from .graph.uncertain import UncertainGraph
 from .specs import (
     build_measure,
@@ -251,6 +251,13 @@ class _EvalEntry:
     byte-identical to a full pass.  Updates drop entries that replayed
     truncated worlds.  MPDS results serialize through ``serial``, which
     outlives patches; the world memo bounds it.
+
+    ``tally`` is the k-independent half of an MPDS finalize (the
+    :class:`MPDSTally`, with the candidates' JSON text once a second
+    result serialized them), filled by the first MPDS hit; later hits
+    only rank.  A dirty entry is never served, and its patch builds a new
+    entry without a tally, so no text outlives the records it was
+    built from.
     """
 
     records: list
@@ -258,6 +265,7 @@ class _EvalEntry:
     memo: Optional[_WorldMemo]
     serial: SerialMemo
     dirty: set = field(default_factory=set)
+    tally: Optional[MPDSTally] = None
 
 
 def _measure_key(measure: DensityMeasure) -> Optional[Tuple]:
@@ -326,13 +334,16 @@ class Session:
     pins its ``(T, m)`` mask matrix (see ``WorldStore.nbytes``), and
     every distinct (draw, measure, engine, knobs) combination pins its
     per-world records (MPDS ones also the canonical list and JSON
-    fragment of each candidate they serialized; entries over dynamic
-    stores also a world memo of at most ``MEMO_LIMIT * theta`` records,
-    which bounds those fragments too), until :meth:`close`.  Size
-    sessions to a working set (typically one or a few draws queried
-    many ways -- where the amortization lives); for unbounded-diversity
-    traffic, close and recreate sessions at natural boundaries rather
-    than holding one forever.
+    fragment of each candidate they serialized, and one tally with the
+    candidates' JSON text once two results serialized them, which
+    ``stats_snapshot`` gauges as
+    ``cached_result_texts`` / ``cached_result_text_bytes``; entries
+    over dynamic stores also a world memo of at most
+    ``MEMO_LIMIT * theta`` records, which bounds those fragments too),
+    until :meth:`close`.  Size sessions to a working set (typically
+    one or a few draws queried many ways -- where the amortization
+    lives); for unbounded-diversity traffic, close and recreate
+    sessions at natural boundaries rather than holding one forever.
     """
 
     def __init__(
@@ -412,6 +423,12 @@ class Session:
             snapshot = dict(self.stats)
             snapshot["cached_stores"] = len(self._stores)
             snapshot["cached_evaluations"] = len(self._eval_cache)
+            texts = [
+                entry.tally.text for entry in self._eval_cache.values()
+                if entry.tally is not None and entry.tally.text is not None
+            ]
+        snapshot["cached_result_texts"] = len(texts)
+        snapshot["cached_result_text_bytes"] = sum(map(len, texts))
         return snapshot
 
     def has_store(self, key: Tuple) -> bool:
@@ -1080,9 +1097,7 @@ class Query:
                 with session._lock:
                     session._eval_flights.pop(ekey, None)
                 flight.set()
-        return self._finalize(
-            mode, entry.records, entry.replayed, entry.serial
-        )
+        return self._finalize(mode, entry.records, entry.replayed, entry)
 
     def _transient_store(self, theta: int):
         """Draw an uncached store: an unseeded spec draw, or an MC/LP/RSS
@@ -1165,13 +1180,21 @@ class Query:
             mode, worlds, loop_measure, engine_measure, *self._knobs(mode)
         )
 
-    def _finalize(self, mode, records, replayed, serial=None):
-        """Rank cached records -- the only per-query work on a warm hit;
-        an MPDS result serializes through ``serial``, the entry's memo."""
+    def _finalize(self, mode, records, replayed, entry=None):
+        """Finalize records into a result.  From a cached ``entry``, an
+        MPDS query ranks the entry's tally (building it on the first
+        hit) and serializes through the entry's memo."""
         if mode == "mpds":
-            result = finalize_mpds(iter(records), self._k)
+            tally = entry.tally if entry is not None else None
+            result = finalize_mpds(
+                iter(records) if tally is None else tally, self._k
+            )
             result.replayed_worlds = replayed
-            result._memo = serial
+            if entry is not None:
+                if tally is None:
+                    # racing first hits each keep an equal tally
+                    entry.tally = result._base
+                result._memo = entry.serial
             return result
         transactions, weights, total_weight, actual_theta = (
             accumulate_transactions(iter(records))

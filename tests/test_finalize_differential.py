@@ -258,6 +258,8 @@ def test_threads_fill_one_memo_consistently(dense_graph):
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(4):
+                # the entry's candidates text would skip the fragments
+                _entry(session).tally.text = None
                 memo.clear()
                 threads = [threading.Thread(target=serialize)
                            for _ in range(4)]

@@ -11,7 +11,10 @@ over int, str, bool and non-ASCII labels; tied, subnormal, signed-zero,
 NDS results; session results that share an evaluation entry's memo;
 and the ``kwargs`` fallback.  A ledger case pins that the restore step
 of a dynamic what-if pair serializes without filling a single new
-fragment.
+fragment.  The last cases pin the evaluation entry's tally: a result
+whose candidates were edited never reuses (or poisons) the entry's
+cached candidates text, an update never serves the pre-update text,
+and ``stats_snapshot`` gauges the cached texts.
 """
 
 from __future__ import annotations
@@ -269,3 +272,134 @@ def test_restore_step_fills_no_new_fragments(graph):
             assert set(restored.candidates) <= held.keys()
         # the perturb steps did bring new candidates in
         assert moved_any > 0
+
+
+# ----------------------------------------------------------------------
+# the entry's tally: ranked once, candidates text cached once
+# ----------------------------------------------------------------------
+def _static(session, k=5):
+    return session.query().sampler("mc", theta=THETA, seed=SEED).top_k(k).mpds()
+
+
+def _tally(session):
+    (entry,) = session._eval_cache.values()
+    return entry.tally
+
+
+def _drop_first(candidates):
+    del candidates[next(iter(candidates))]
+
+
+def _change_value(candidates):
+    nodes = next(iter(candidates))
+    candidates[nodes] = 1  # encodes as "1", unlike any float
+
+
+def _reorder(candidates):
+    items = list(candidates.items())[::-1]
+    candidates.clear()
+    candidates.update(items)
+
+
+def _equal_copies(candidates):
+    # equal values in new float objects: the identity check re-encodes
+    for nodes, probability in list(candidates.items()):
+        candidates[nodes] = float(repr(probability))
+
+
+@pytest.mark.parametrize(
+    "mutate", [_drop_first, _change_value, _reorder, _equal_copies]
+)
+def test_mutating_a_warm_result_cannot_poison_its_entry(graph, mutate):
+    with Session(graph) as session:
+        first = _static(session).to_json()
+        tally = _tally(session)
+        assert tally.text is None and tally.serialized
+        assert _static(session).to_json() == first
+        assert tally.text is not None
+        warm = _static(session)
+        assert warm._base is tally and warm.candidates is not tally.candidates
+        mutate(warm.candidates)
+        text = warm.to_json()
+        assert text == json.dumps(warm.to_dict())
+        assert text == json.dumps(_frozen_dict(warm))
+        assert (text == first) == (mutate is _equal_copies)
+        # the entry's tally and text are untouched
+        assert _static(session).to_json() == first
+        with Session(graph) as fresh:
+            assert _static(fresh).to_json() == first
+
+
+def test_warm_hits_rank_a_prefix_of_one_ranking(graph):
+    with Session(graph) as session:
+        for k in (2, 5, 1, 3, 5, 200):
+            warm = _static(session, k)
+            assert warm == top_k_mpds(graph, k=k, theta=THETA, seed=SEED)
+        tally = _tally(session)
+        assert len(tally.ranked) == len(tally.candidates) < 200
+
+
+def test_an_update_never_serves_the_pre_update_text(graph):
+    u, v, p = sorted(graph.weighted_edges())[0]
+    moved = p + 0.25 if p + 0.25 <= 0.95 else p - 0.25
+    with Session(graph.copy()) as live:
+        before = _dynamic(live).mpds().to_json()
+        assert _dynamic(live).mpds().to_json() == before
+        old = _tally(live)
+        summary = live.update(GraphDelta(updates=[(u, v, moved)]))
+        assert summary["worlds_flipped"] > 0
+        (entry,) = live._eval_cache.values()
+        assert entry.dirty and entry.tally is old
+        after = _dynamic(live).mpds()
+        assert after._base is not old and after._base is _tally(live)
+        text = after.to_json()
+        assert old.text == json.dumps(json.loads(before)["candidates"])
+        with Session(live.graph.copy()) as scratch:
+            assert text == _dynamic(scratch).mpds().to_json()
+        assert json.loads(before)["candidates"] != json.loads(text)[
+            "candidates"
+        ]
+
+
+def _gauge(session):
+    snapshot = session.stats_snapshot()
+    return (
+        snapshot["cached_result_texts"],
+        snapshot["cached_result_text_bytes"],
+    )
+
+
+def test_stats_gauge_cached_result_texts(graph):
+    with Session(graph.copy()) as session:
+        assert _gauge(session) == (0, 0)
+        static = _static(session, 3)
+        assert _gauge(session) == (0, 0)
+        static_bytes = len(json.dumps(static.to_dict()["candidates"]))
+        # a tally serialized once holds no text; the second keeps one
+        static.to_json()
+        assert _gauge(session) == (0, 0)
+        for k in range(1, 6):
+            _static(session, k).to_json()
+        assert _gauge(session) == (1, static_bytes)
+        dynamic = _dynamic(session).mpds()
+        dynamic_bytes = len(json.dumps(dynamic.to_dict()["candidates"]))
+        dynamic.to_json()
+        dynamic.to_json()
+        session.query().sampler("mc", theta=THETA, seed=SEED).nds()
+        assert _gauge(session) == (2, static_bytes + dynamic_bytes)
+        assert session.stats_snapshot()["cached_evaluations"] == 3
+        rows = sorted(graph.weighted_edges())
+        u, v, p = rows[0]
+        moved = p + 0.25 if p + 0.25 <= 0.95 else p - 0.25
+        # the static store and its entries are evicted with their
+        # text; the dirty dynamic entry keeps its text until patched
+        session.update(GraphDelta(updates=[(u, v, moved)]))
+        assert _gauge(session) == (1, dynamic_bytes)
+        patched = _dynamic(session).mpds()
+        assert _gauge(session) == (0, 0)
+        patched.to_json()
+        assert _gauge(session) == (0, 0)
+        text = patched.to_json()
+        assert _gauge(session) == (
+            1, len(json.dumps(json.loads(text)["candidates"]))
+        )

@@ -14,7 +14,9 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import http.client
 import json
+import re
 import threading
 import time
 import urllib.error
@@ -34,6 +36,7 @@ from repro.serve import (
     _uncertain_from_text,
     _workers_arg,
     available_datasets,
+    encode_reply,
     make_parser,
 )
 
@@ -458,6 +461,21 @@ class TestStatsPayload:
         assert histogram["p99_ms"] >= histogram["p50_ms"] >= 0
         json.dumps(stats)  # the whole document is JSON-serializable
 
+    def test_stats_gauge_the_cached_result_texts(self, server):
+        body = {"graph": "fig1", "sampler": "mc:theta=64,seed=1", "k": 2}
+        payload = _query(server, body)
+        fig1 = server.stats_payload()["sessions"]["fig1"]
+        # handle() returns a dict; only encoding the reply caches text
+        assert fig1["cached_result_texts"] == 0
+        assert fig1["cached_result_text_bytes"] == 0
+        for k in (1, 2, 3):
+            encode_reply(_query(server, dict(body, k=k)))
+        fig1 = server.stats_payload()["sessions"]["fig1"]
+        assert fig1["cached_result_texts"] == 1
+        assert fig1["cached_result_text_bytes"] == len(
+            json.dumps(payload["result"]["candidates"])
+        )
+
 
 class TestLatencyHistogram:
     def test_quantiles_and_snapshot(self):
@@ -545,6 +563,69 @@ class TestOverHTTP:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
             assert excinfo.value.code == 400
+
+
+# the one field that differs between two runs of the same request
+_ELAPSED = re.compile(rb'"elapsed_ms": [^,]+, ')
+
+
+class TestRawReplyBytes:
+    """The daemon writes a result's ``to_json()`` text into its reply
+    instead of encoding the result dict again.  The raw body must still
+    be ``json.dumps(payload).encode()`` of the payload ``handle()``
+    returns for the same request: same key order, separators, ASCII
+    escaping and trailing ``shadow`` key."""
+
+    def test_http_bodies_equal_json_dumps_of_handle(self):
+        labels = [["é", "日本", 0.9], ["日本", "😀", 0.8], ["é", "😀", 0.7],
+                  ["😀", '"q"', 0.6], ['"q"', "\\", 0.5], ["é", "\\", 0.4]]
+        sampler = "mc:theta=48,seed=7"
+        bodies = [
+            {"graph": "karate", "sampler": sampler, "k": k}
+            for k in range(1, 6)
+        ] + [
+            {"graph": "karate", "run": "nds", "sampler": sampler, "k": 2},
+            {"graph": "labels", "sampler": sampler, "k": 3},
+            {"graph": "labels", "run": "nds", "sampler": sampler, "k": 1},
+            {"graph": "missing-é", "sampler": sampler},
+        ]
+        with ReproServer(port=0, shadow_rate=1.0) as srv:
+            srv.register_graph("karate", dataset="karate")
+            srv.register_graph("labels", edges=labels)
+            for graph in ("karate", "labels"):
+                # draw the stores, so every compared reply is warm
+                srv.handle("POST", "/query", {"graph": graph,
+                                              "sampler": sampler})
+            connection = http.client.HTTPConnection(
+                srv.host, srv.port, timeout=30
+            )
+            try:
+                for body in bodies:
+                    connection.request(
+                        "POST", "/query", json.dumps(body),
+                        {"Content-Type": "application/json"},
+                    )
+                    response = connection.getresponse()
+                    raw = response.read()
+                    status, payload = srv.handle("POST", "/query", body)
+                    assert response.status == status
+                    expected = json.dumps(payload).encode()
+                    assert raw.isascii()
+                    assert _ELAPSED.sub(b"", raw) == _ELAPSED.sub(
+                        b"", expected
+                    ), body
+                    if status == 200:
+                        assert payload["shadow"]["match"] is True
+                        assert raw.endswith(
+                            b'"shadow": {"checked": true, "match": true}}'
+                        )
+                        assert _ELAPSED.search(raw)
+                    else:
+                        assert raw == expected
+            finally:
+                connection.close()
+            labelled = srv.handle("POST", "/query", bodies[6])[1]
+            assert "\\u00e9" in json.dumps(labelled)
 
 
 # ----------------------------------------------------------------------
