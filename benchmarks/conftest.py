@@ -43,10 +43,13 @@ BENCH_THETA_SMALL = 40
 BENCH_THETA_LARGE = 16
 
 
-def emit(name: str, text: str) -> None:
-    """Print a rendered table and archive it under benchmarks/results/."""
+def emit(name: str, text: str, archive: bool = True) -> None:
+    """Print a rendered table and, unless ``archive`` is false (a
+    smoke-scale run), archive it under benchmarks/results/."""
     banner = f"\n===== {name} =====\n"
     print(banner + text)
+    if not archive:
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
 

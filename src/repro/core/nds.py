@@ -76,7 +76,13 @@ def finalize_nds(
     k: int,
     min_size: int,
 ) -> NDSResult:
-    """Mine the transaction database into the ranked Algorithm 5 result."""
+    """Mine the transaction database into the ranked Algorithm 5 result.
+
+    The result is a pure function of the database, ``k`` and
+    ``min_size``, so a :class:`repro.session.Session` evaluation entry
+    memoizes it per exact ``(k, min_size)`` and copies it on a warm
+    hit instead of mining again.
+    """
     if not transactions:
         return NDSResult(top=[], theta=actual_theta, transactions=0)
     mined = top_k_closed_itemsets(transactions, k, min_size, weights)
@@ -136,10 +142,10 @@ def top_k_nds(
     """Estimate the top-k Nucleus Densest Subgraphs (Algorithm 5).
 
     Thin shim over a closing one-shot :class:`repro.session.Session`
-    query; use
-    a session directly to reuse the sampled worlds across several
-    queries (different ``k`` / ``min_size``, measures, NDS vs MPDS)
-    without resampling.
+    query; use a session directly to reuse the sampled worlds across
+    several queries (different ``k`` / ``min_size``, measures, NDS vs
+    MPDS) without resampling, and a repeated ``(k, min_size)`` without
+    mining again.
 
     Parameters
     ----------

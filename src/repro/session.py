@@ -17,7 +17,8 @@ queries share:
   varies ``k`` or ``min_size`` replays records through the cheap
   finalize stage instead of re-solving every world (a different
   measure, mode, ``enumerate_all`` or ``per_world_limit`` re-evaluates,
-  but still reuses the sampled worlds);
+  but still reuses the sampled worlds), and an NDS ``(k, min_size)``
+  asked before copies its mined result instead of mining again;
 * the **published shared-memory segments** for parallel queries: the
   graph payload and each store's world arrays are packed once and kept
   alive for the session, so warm fan-outs ship only tiny task tuples
@@ -86,7 +87,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from .core.measures import DensityMeasure, EdgeDensity
@@ -146,6 +147,12 @@ def _check_dynamic_draw(kind, params, seed) -> None:
 #: ``MEMO_KEEP * theta``
 MEMO_LIMIT = 4
 MEMO_KEEP = 3
+
+#: an eval entry memoizes the mined NDS results of at most
+#: ``NDS_MEMO_LIMIT`` ``(k, min_size)`` shapes; an overflow trims the
+#: least recently used shapes down to ``NDS_MEMO_KEEP``
+NDS_MEMO_LIMIT = 32
+NDS_MEMO_KEEP = 24
 
 
 def _world_key(store, i: int) -> Tuple[bytes, float]:
@@ -255,9 +262,20 @@ class _EvalEntry:
     ``tally`` is the k-independent half of an MPDS finalize (the
     :class:`MPDSTally`, with the candidates' JSON text once a second
     result serialized them), filled by the first MPDS hit; later hits
-    only rank.  A dirty entry is never served, and its patch builds a new
-    entry without a tally, so no text outlives the records it was
-    built from.
+    only rank.  Once a static entry (``memo is None``) holds that text,
+    its ``serial`` drops the fragments the text was joined from (a
+    result with edited candidates encodes them again); dynamic entries
+    keep theirs, since their patches share ``serial``.
+
+    ``mined`` maps an NDS query's exact ``(k, min_size)`` to the
+    :class:`NDSResult` the first hit of that shape mined, so a later
+    hit copies it instead of mining again (a smaller k is no prefix of
+    a larger one: the miner settles ties at the pool threshold by
+    arrival order).  It keeps at most ``NDS_MEMO_LIMIT`` shapes.
+
+    A dirty entry is never served, and its patch builds a new entry
+    without a tally or mined results, so nothing outlives the records
+    it was built from.
     """
 
     records: list
@@ -266,6 +284,7 @@ class _EvalEntry:
     serial: SerialMemo
     dirty: set = field(default_factory=set)
     tally: Optional[MPDSTally] = None
+    mined: Dict[Tuple[int, int], NDSResult] = field(default_factory=dict)
 
 
 def _measure_key(measure: DensityMeasure) -> Optional[Tuple]:
@@ -337,7 +356,9 @@ class Session:
     fragment of each candidate they serialized, and one tally with the
     candidates' JSON text once two results serialized them, which
     ``stats_snapshot`` gauges as
-    ``cached_result_texts`` / ``cached_result_text_bytes``; entries
+    ``cached_result_texts`` / ``cached_result_text_bytes``; NDS ones
+    the mined result of at most ``NDS_MEMO_LIMIT`` ``(k, min_size)``
+    shapes, gauged as ``cached_nds_results``; entries
     over dynamic stores also a world memo of at most
     ``MEMO_LIMIT * theta`` records, which bounds those fragments too),
     until :meth:`close`.  Size sessions to a working set (typically
@@ -423,6 +444,9 @@ class Session:
             snapshot = dict(self.stats)
             snapshot["cached_stores"] = len(self._stores)
             snapshot["cached_evaluations"] = len(self._eval_cache)
+            snapshot["cached_nds_results"] = sum(
+                len(entry.mined) for entry in self._eval_cache.values()
+            )
             texts = [
                 entry.tally.text for entry in self._eval_cache.values()
                 if entry.tally is not None and entry.tally.text is not None
@@ -1183,7 +1207,9 @@ class Query:
     def _finalize(self, mode, records, replayed, entry=None):
         """Finalize records into a result.  From a cached ``entry``, an
         MPDS query ranks the entry's tally (building it on the first
-        hit) and serializes through the entry's memo."""
+        hit) and serializes through the entry's memo, and an NDS query
+        copies the result its shape mined before (mining it on the
+        first hit)."""
         if mode == "mpds":
             tally = entry.tally if entry is not None else None
             result = finalize_mpds(
@@ -1194,15 +1220,34 @@ class Query:
                 if tally is None:
                     # racing first hits each keep an equal tally
                     entry.tally = result._base
+                elif tally.text is not None and entry.memo is None:
+                    # the text serves unedited results; edited ones
+                    # encode their candidates afresh
+                    entry.serial.fragments.clear()
                 result._memo = entry.serial
             return result
+        shape, lock = (self._k, self._min_size), self._session._lock
+        if entry is not None:
+            with lock:
+                mined = entry.mined.pop(shape, None)
+                if mined is not None:
+                    entry.mined[shape] = mined  # now most recently used
+                    return replace(mined, top=list(mined.top))
         transactions, weights, total_weight, actual_theta = (
             accumulate_transactions(iter(records))
         )
-        return finalize_nds(
+        result = finalize_nds(
             transactions, weights, total_weight, actual_theta,
             self._k, self._min_size,
         )
+        if entry is not None:
+            # racing first hits each store an equal result
+            with lock:
+                entry.mined[shape] = replace(result, top=list(result.top))
+                if len(entry.mined) > NDS_MEMO_LIMIT:
+                    for stale in list(entry.mined)[:-NDS_MEMO_KEEP]:
+                        del entry.mined[stale]
+        return result
 
     def __repr__(self) -> str:
         sampler = (

@@ -14,7 +14,8 @@ of a dynamic what-if pair serializes without filling a single new
 fragment.  The last cases pin the evaluation entry's tally: a result
 whose candidates were edited never reuses (or poisons) the entry's
 cached candidates text, an update never serves the pre-update text,
-and ``stats_snapshot`` gauges the cached texts.
+``stats_snapshot`` gauges the cached texts, and a static entry drops
+the fragments its tally text replaces (edited results still encode).
 """
 
 from __future__ import annotations
@@ -403,3 +404,30 @@ def test_stats_gauge_cached_result_texts(graph):
         assert _gauge(session) == (
             1, len(json.dumps(json.loads(text)["candidates"]))
         )
+
+
+def test_a_static_entry_drops_the_fragments_its_text_replaces(graph):
+    with Session(graph.copy()) as session:
+        first = _static(session).to_json()
+        assert _static(session).to_json() == first
+        (entry,) = session._eval_cache.values()
+        assert entry.memo is None and entry.tally.text is not None
+        assert entry.serial.fragments
+        warm = _static(session)
+        # the hit after the text landed cleared the fragments
+        assert not entry.serial.fragments
+        assert warm.to_json() == first
+        assert not entry.serial.fragments
+        _drop_first(warm.candidates)
+        text = warm.to_json()
+        assert text == json.dumps(warm.to_dict())
+        assert text == json.dumps(_frozen_dict(warm)) != first
+        assert _static(session).to_json() == first
+        # a dynamic entry's fragments outlive its patches: it keeps them
+        for _ in range(3):
+            _dynamic(session).mpds().to_json()
+        dynamic = next(
+            entry for entry in session._eval_cache.values()
+            if entry.memo is not None
+        )
+        assert dynamic.tally.text is not None and dynamic.serial.fragments

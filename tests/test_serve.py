@@ -476,6 +476,23 @@ class TestStatsPayload:
             json.dumps(payload["result"]["candidates"])
         )
 
+    def test_stats_gauge_the_cached_nds_results(self, server):
+        body = {"graph": "fig1", "run": "nds", "sampler": "mc:theta=64,seed=1",
+                "k": 2, "min_size": 2}
+        stats = server.stats_payload
+        _query(server, dict(body, run="mpds"))  # draws the store
+        assert stats()["sessions"]["fig1"]["cached_nds_results"] == 0
+        replies = []
+        for _ in range(2):
+            reply = json.loads(encode_reply(_query(server, body)))
+            assert reply.pop("elapsed_ms") >= 0
+            replies.append(json.dumps(reply))
+            assert stats()["sessions"]["fig1"]["cached_nds_results"] == 1
+        # the warm repeat copies the memoized result: the same bytes
+        assert replies[0] == replies[1]
+        _query(server, dict(body, k=3))
+        assert stats()["sessions"]["fig1"]["cached_nds_results"] == 2
+
 
 class TestLatencyHistogram:
     def test_quantiles_and_snapshot(self):

@@ -1,6 +1,7 @@
 """Session/Query API semantics: spec registry, store caching, the
-zero-resampling contract (spy-asserted), result serialization, and the
-``workers="auto"`` resolution."""
+zero-resampling contract (spy-asserted), the per-entry memo of mined
+NDS results (a warm repeat does not mine), result serialization, and
+the ``workers="auto"`` resolution."""
 
 from __future__ import annotations
 
@@ -482,6 +483,164 @@ class TestSession:
                 "mc", theta=16, seed=3
             ).top_k(2).mpds()
         assert result == top_k_mpds(graph, k=2, theta=16, seed=3)
+
+
+# ----------------------------------------------------------------------
+# the per-entry memo of mined NDS results
+# ----------------------------------------------------------------------
+NDS_THETA = 64
+NDS_SEED = 1
+
+
+@pytest.fixture(scope="module")
+def karate():
+    from repro.datasets import karate_club_uncertain
+
+    return karate_club_uncertain(seed=2023)
+
+
+def _nds(session, k, min_size=2, dynamic=False):
+    query = session.query().sampler("mc", theta=NDS_THETA, seed=NDS_SEED)
+    if dynamic:
+        query = query.dynamic()
+    return query.top_k(k).min_size(min_size).nds()
+
+
+def _nds_entry(session):
+    (entry,) = session._eval_cache.values()
+    return entry
+
+
+def _append(top):
+    top.append(ScoredNodeSet(frozenset({"poison"}), 1.0))
+
+
+def _replace_first(top):
+    top[0] = ScoredNodeSet(frozenset({"poison"}), 1.0)
+
+
+class TestNDSMemo:
+    #: (7, 2) ties at its pool threshold: its top is not the first 7 of
+    #: (12, 2)'s, so each shape must be mined on its own
+    SHAPES = [(7, 2), (12, 2), (7, 2), (2, 3), (1, 2), (12, 2), (2, 3)]
+
+    def test_warm_hits_match_a_fresh_session_and_one_shot(self, karate):
+        texts = {}
+        with Session(karate) as session:
+            for k, min_size in self.SHAPES:
+                text = _nds(session, k, min_size).to_json()
+                if (k, min_size) not in texts:
+                    with Session(karate) as fresh:
+                        assert _nds(fresh, k, min_size).to_json() == text
+                    assert top_k_nds(
+                        karate, k=k, min_size=min_size, theta=NDS_THETA,
+                        seed=NDS_SEED,
+                    ).to_json() == text
+                    texts[k, min_size] = text
+                assert text == texts[k, min_size]
+            assert session.stats_snapshot()["cached_nds_results"] == 4
+        tie = json.loads(texts[7, 2])["top"]
+        wider = json.loads(texts[12, 2])["top"]
+        assert tie[-1]["probability"] == wider[7]["probability"]
+        assert tie != wider[:7]
+
+    @pytest.mark.parametrize("mutate", [_append, list.clear, _replace_first])
+    def test_mutating_a_result_cannot_poison_the_memo(self, karate, mutate):
+        with Session(karate) as session:
+            miss = _nds(session, 3)
+            expected = miss.to_json()
+            mutate(miss.top)
+            hit = _nds(session, 3)
+            assert hit.to_json() == expected
+            assert hit.top is not miss.top
+            mutate(hit.top)
+            assert _nds(session, 3).to_json() == expected
+
+    def test_the_memo_stays_within_its_cap(self, karate, monkeypatch):
+        import repro.session as session_module
+
+        shapes = [(k, m) for m in (2, 3) for k in range(1, 20)]
+        assert len(shapes) > session_module.NDS_MEMO_LIMIT
+        with Session(karate) as session:
+            texts = {}
+            for k, min_size in shapes:
+                texts[k, min_size] = _nds(session, k, min_size).to_json()
+                size = len(_nds_entry(session).mined)
+                assert size <= session_module.NDS_MEMO_LIMIT
+            assert size >= session_module.NDS_MEMO_KEEP
+            assert session.stats_snapshot()["cached_nds_results"] == size
+            # the least recently used shapes went first
+            assert (1, 2) not in _nds_entry(session).mined
+            assert (19, 3) in _nds_entry(session).mined
+            mined = []
+            monkeypatch.setattr(session_module, "finalize_nds",
+                                _counting(mined))
+            for k, min_size in shapes:
+                assert _nds(session, k, min_size).to_json() == \
+                    texts[k, min_size]
+            # every trimmed shape was mined again, and answered right
+            assert mined and len(_nds_entry(session).mined) <= \
+                session_module.NDS_MEMO_LIMIT
+
+    def test_a_dynamic_entry_starts_empty_after_an_update(self, karate):
+        from repro.delta import GraphDelta
+
+        rows = sorted(karate.weighted_edges())[:3]
+        with Session(karate.copy()) as live:
+            _nds(live, 3, dynamic=True)
+            for u, v, p in rows:
+                moved = p + 0.25 if p + 0.25 <= 0.95 else p - 0.25
+                summary = live.update(GraphDelta(updates=[(u, v, moved)]))
+                if summary["worlds_flipped"]:
+                    assert _nds_entry(live).dirty
+                text = _nds(live, 3, dynamic=True).to_json()
+                assert list(_nds_entry(live).mined) == [(3, 2)]
+                with Session(live.graph.copy()) as scratch:
+                    assert _nds(scratch, 3, dynamic=True).to_json() == text
+
+    def test_threads_sharing_one_shape_get_equal_results(self, karate):
+        import threading
+
+        with Session(karate) as session:
+            _nds(session, 1)  # the records are cached; (5, 2) is not
+            results, barrier = [], threading.Barrier(4)
+
+            def worker():
+                barrier.wait()
+                results.append(_nds(session, 5).to_json())
+
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(results) == 4 and len(set(results)) == 1
+            assert results[0] == _nds(session, 5).to_json()
+            assert session.stats_snapshot()["cached_nds_results"] == 2
+
+    def test_a_warm_repeat_does_not_mine(self, karate, monkeypatch):
+        import repro.session as session_module
+
+        mined = []
+        monkeypatch.setattr(session_module, "finalize_nds", _counting(mined))
+        with Session(karate) as session:
+            first = _nds(session, 4).to_json()
+            assert len(mined) == 1
+            for _ in range(3):
+                assert _nds(session, 4).to_json() == first
+            assert len(mined) == 1
+            _nds(session, 4, min_size=3)
+            assert len(mined) == 2
+
+
+def _counting(calls):
+    from repro.core.nds import finalize_nds
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return finalize_nds(*args)
+
+    return counted
 
 
 # ----------------------------------------------------------------------
