@@ -18,14 +18,13 @@ The vectorised evaluation stage splits further into its *bound* (the
 batched cross-world kernels: lockstep peel bound + vector-k core) and
 *exact* (the warm parametric flow chain on the survivors) layers;
 ``python3 perfbench/run.py --trace 1`` reports them as ``bound.busy_s``
-and ``exact.busy_s``.  When numba is installed a third engine column
-(``engine="jit"``) is timed as well; without numba the table records
-the fallback instead.
+and ``exact.busy_s``.
 
 The per-stage table is archived as
-``benchmarks/results/bench_engine_stages.txt`` on every run (pytest or
-``python -m benchmarks.bench_engine [--tiny]``), so the evaluation-stage
-trajectory is tracked across PRs.
+``benchmarks/results/bench_engine_stages.txt`` on every full-scale run
+(pytest or ``python -m benchmarks.bench_engine``), so the
+evaluation-stage trajectory is tracked across PRs; a ``--tiny`` run
+only prints it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import random
 import time
 
 from repro.core.mpds import top_k_mpds
-from repro.engine import HAVE_NUMBA, VectorizedMonteCarloSampler
+from repro.engine import VectorizedMonteCarloSampler
 from repro.graph.uncertain import UncertainGraph
 from repro.sampling import (
     LazyPropagationSampler,
@@ -88,9 +87,7 @@ def run_stage_benchmark(
     without evaluating worlds; the world-evaluation stage is the
     end-to-end estimator time minus the sampling time (evaluation is the
     only other per-world work Algorithm 1 does).  The vectorised run
-    goes through a :class:`repro.session.Session`; when numba is
-    installed the same query is timed a third time under
-    ``engine="jit"``.  Returns a dict
+    goes through a :class:`repro.session.Session`.  Returns a dict
     with per-stage seconds, per-stage speedups, the rendered table, and
     the results (whose estimates must all be identical).
     """
@@ -115,14 +112,9 @@ def run_stage_benchmark(
             )
         return time.perf_counter() - start, result
 
-    # fast engines run before the long pure-Python leg so their stage
+    # the fast engine runs before the long pure-Python leg so its stage
     # timings are not polluted by its thermal / allocator aftermath
     vector_total, vector_result = timed_session_run("vectorized")
-
-    jit = None
-    if HAVE_NUMBA:
-        jit_total, jit_result = timed_session_run("jit")
-        jit = {"total": jit_total, "result": jit_result}
 
     start = time.perf_counter()
     sampler = MonteCarloSampler(graph, seed)
@@ -144,15 +136,6 @@ def run_stage_benchmark(
         and python_result.densest_counts == vector_result.densest_counts
     )
 
-    if jit is not None:
-        jit_result = jit.pop("result")
-        identical = identical and (
-            python_result.candidates == jit_result.candidates
-            and python_result.top == jit_result.top
-            and python_result.densest_counts == jit_result.densest_counts
-        )
-        jit["evaluation"] = jit["total"] - vector_sampling
-
     def row(stage: str, py: float, vec: float) -> str:
         return (
             f"{stage:18s} {py:10.3f} s {vec:12.3f} s "
@@ -167,14 +150,6 @@ def run_stage_benchmark(
         row("world evaluation", python_eval, vector_eval),
         row("end-to-end", python_total, vector_total),
     ]
-    if jit is not None:
-        lines.append(row("world eval (jit)", python_eval, jit["evaluation"]))
-        lines.append(row("end-to-end (jit)", python_total, jit["total"]))
-    else:
-        lines.append(
-            "jit tier: numba not installed; engine='jit' falls back to "
-            "the vectorized row above (identical estimates)"
-        )
     lines.append(f"identical estimates: {identical}")
     return {
         "python": {
@@ -187,7 +162,6 @@ def run_stage_benchmark(
             "evaluation": vector_eval,
             "total": vector_total,
         },
-        "jit": jit,
         "identical": identical,
         "table": "\n".join(lines),
         "results": (python_result, vector_result),
@@ -312,9 +286,10 @@ def main(argv=None) -> int:
     """Standalone entry: ``python -m benchmarks.bench_engine [--tiny]``.
 
     ``--tiny`` runs the smoke-scale per-stage benchmark (the CI artifact
-    path); without it the full bench-scale workload runs.  Either way the
-    per-stage table lands in ``benchmarks/results/bench_engine_stages.txt``
-    and a non-zero exit code signals an estimate mismatch.
+    path) and only prints its table; without it the full bench-scale
+    workload runs and its per-stage table lands in
+    ``benchmarks/results/bench_engine_stages.txt``.  A non-zero exit code
+    signals an estimate mismatch.
     """
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -328,7 +303,7 @@ def main(argv=None) -> int:
         )
     else:
         report = run_stage_benchmark()
-    emit("bench_engine_stages", report["table"])
+    emit("bench_engine_stages", report["table"], archive=not args.tiny)
     return 0 if report["identical"] else 1
 
 

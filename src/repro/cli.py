@@ -117,8 +117,7 @@ def _add_engine_and_workers(parser: argparse.ArgumentParser) -> None:
         "--engine", choices=("auto", "python", "vectorized", "jit"),
         default="auto",
         help="possible-world engine (auto picks the fastest byte-identical "
-        "path: jit when numba is installed, else vectorized; 'jit' falls "
-        "back to vectorized without numba; see repro.engine)",
+        "path; 'jit' is an alias of 'vectorized'; see repro.engine)",
     )
     parser.add_argument(
         "--workers", type=_workers_arg, default=1, metavar="N|auto",

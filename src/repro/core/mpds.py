@@ -220,9 +220,9 @@ def top_k_mpds(
         ``"auto"`` (default), ``"python"``, ``"vectorized"`` or
         ``"jit"``; selects the possible-world engine (see
         :mod:`repro.engine`).  ``auto`` vectorises every {MC, LP, RSS}
-        x {edge, clique, pattern density} combination (JIT-compiled
-        hot loops when numba is installed); custom sampler/measure
-        types run pure-Python.  Estimates are identical across engines
+        x {edge, clique, pattern density} combination (``jit`` is an
+        alias of ``vectorized``); custom sampler/measure types run
+        pure-Python.  Estimates are identical across engines
         for the same seed.
     """
     from ..session import Session

@@ -145,26 +145,7 @@ def _peel_arrays(
     as an exact ratio with its subgraph size, and the degeneracy (the
     largest minimum degree seen, an upper bound on any subgraph's edge
     density).
-
-    When the JIT tier is active (``engine='jit'`` with numba installed;
-    see :mod:`repro.engine.jit`) the loop runs as the flat-array port
-    :func:`repro.engine.jit.peel_csr`, whose removal order is provably
-    identical (same minimum-degree/smallest-index tie-break).
     """
-    from ..engine import jit
-
-    if jit.jit_active():
-        import numpy as np
-
-        order, edges_after, num, den, size, degen = jit.peel_csr(
-            n,
-            np.ascontiguousarray(indptr, dtype=np.int64),
-            np.ascontiguousarray(neighbors, dtype=np.int64),
-        )
-        return (
-            [int(i) for i in order], [int(e) for e in edges_after],
-            int(num), int(den), int(size), int(degen),
-        )
     neighbors = neighbors.tolist()
     indptr = indptr.tolist()
     degree = [indptr[i + 1] - indptr[i] for i in range(n)]

@@ -39,20 +39,17 @@ When does the vectorised path activate?
 
 * ``auto`` (default) -- vectorised for every guaranteed byte-identical
   combination: {MC (default), LP, RSS} x {EdgeDensity, CliqueDensity,
-  PatternDensity}, upgraded to the JIT tier when numba is installed.
-  Custom sampler or measure types run the original pure-Python path.
-* ``vectorized`` -- force the numpy tier (no JIT upgrade); unknown
-  measures still work through the mask -> :class:`Graph` adapter
+  PatternDensity}.  Custom sampler or measure types run the original
+  pure-Python path.
+* ``vectorized`` -- force the vectorised engine; unknown measures still
+  work through the mask -> :class:`Graph` adapter
   (:meth:`IndexedGraph.world_graph`), but the sampler must be MC, LP or
   RSS (or a vectorised twin).
-* ``jit`` -- the vectorized engine with the two irreducible hot loops
-  (bucketed peel, first-phase push-relabel) numba-compiled
-  (:mod:`repro.engine.jit`); falls back to ``vectorized`` when numba is
-  not installed.  Same estimates either way.
+* ``jit`` -- an accepted alias of ``vectorized``.
 * ``python`` -- force the original path (e.g. for timing comparisons:
   see ``benchmarks/bench_engine.py``).
 
-On top of whichever per-world tier runs, the vector engines evaluate
+On top of the per-world exact stage, the vectorised engine evaluates
 cheap stages *batched across worlds*: :func:`primed_world_stream`
 buffers a chunk of sampled worlds, stacks their edge masks and runs
 the bound / shrink stages (:func:`batch_peel_bounds`,
@@ -78,7 +75,6 @@ from .kernels import (
     k_core_alive,
     world_degrees,
 )
-from .jit import HAVE_NUMBA, jit_active, use_jit
 from .lazy import VectorizedLazyPropagationSampler
 from .sampler import (
     VectorizedMonteCarloSampler,
@@ -119,9 +115,6 @@ __all__ = [
     "k_core_alive",
     "batch_k_core_alive",
     "batch_peel_bounds",
-    "HAVE_NUMBA",
-    "jit_active",
-    "use_jit",
     "ENGINES",
     "VECTOR_ENGINES",
     "EngineMeasure",

@@ -30,7 +30,6 @@ even the truncated subset matches byte-for-byte.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Iterator, List, Optional
@@ -55,7 +54,6 @@ from ..sampling.lazy_propagation import LazyPropagationSampler
 from ..sampling.monte_carlo import MonteCarloSampler
 from ..sampling.stratified import RecursiveStratifiedSampler
 from .indexed import MaskWorld, SubWorldView
-from .jit import HAVE_NUMBA, use_jit
 from .kernels import batch_k_core_alive, batch_peel_bounds, k_core_alive
 from .lazy import VectorizedLazyPropagationSampler
 from .sampler import VectorizedMonteCarloSampler
@@ -63,10 +61,8 @@ from .stratified import VectorizedStratifiedSampler
 
 ENGINES = ("auto", "python", "vectorized", "jit")
 
-#: resolved engines that run the mask-native (vectorised) pipeline;
-#: ``"jit"`` is the same pipeline with the numba tier active for the
-#: two per-world hot loops (:mod:`repro.engine.jit`)
-VECTOR_ENGINES = ("vectorized", "jit")
+#: resolved engines that run the mask-native (vectorised) pipeline
+VECTOR_ENGINES = ("vectorized",)
 
 #: how many worlds the batched pre-pass buffers and primes at once
 #: (peel bounds and k-cores for the whole chunk in a handful of numpy
@@ -111,14 +107,8 @@ def resolve_engine(engine: str, sampler, measure: DensityMeasure) -> str:
     cannot vouch for their replay semantics.  ``vectorized`` forces the
     engine for any measure (unknown measures run through the
     mask->Graph adapter) but still requires one of the replayable
-    samplers.  ``python`` always uses the original path.
-
-    ``jit`` is the vectorised engine with the optional numba tier
-    (:mod:`repro.engine.jit`) active for the per-world hot loops; it
-    resolves to ``"jit"`` only when numba is importable and falls back
-    to ``"vectorized"`` otherwise -- same results either way, the tier
-    is purely a performance knob.  ``auto`` upgrades to ``"jit"``
-    automatically when numba is present.
+    samplers.  ``python`` always uses the original path.  ``jit`` is an
+    accepted alias of ``vectorized``.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
@@ -131,11 +121,9 @@ def resolve_engine(engine: str, sampler, measure: DensityMeasure) -> str:
                 f"engine={engine!r} supports MC, LP and RSS sampling only; "
                 f"got sampler {type(sampler).__name__}"
             )
-        if engine == "jit":
-            return "jit" if HAVE_NUMBA else "vectorized"
         return "vectorized"
     if replayable and type(measure) in _FAST_MEASURES:
-        return "jit" if HAVE_NUMBA else "vectorized"
+        return "vectorized"
     return "python"
 
 
@@ -251,30 +239,19 @@ class EngineMeasure(DensityMeasure):
     enumeration was replayed through the pure-Python path to keep the
     ``per_world_limit`` subset byte-identical across engines.
 
-    ``tier`` selects the implementation of the two per-world hot loops:
-    ``"numpy"`` (always available) or ``"jit"`` (numba-compiled when
-    installed; see :mod:`repro.engine.jit` -- activated per call via a
-    context variable, so concurrent queries can run different tiers).
     ``worlds_primed`` / ``worlds_filtered`` count worlds served by the
     batched pre-pass and worlds dismissed as edgeless before any exact
     work.
     """
 
-    def __init__(self, inner: DensityMeasure, tier: str = "numpy") -> None:
-        if tier not in ("numpy", "vectorized", "jit"):
-            raise ValueError(f"unknown engine tier {tier!r}")
+    def __init__(self, inner: DensityMeasure) -> None:
         self.inner = inner
         self.name = inner.name
         self._fast = type(inner) is EdgeDensity
         self._core_k = measure_core_k(inner)
-        self._jit = tier == "jit"
         self.replayed_worlds = 0
         self.worlds_primed = 0
         self.worlds_filtered = 0
-
-    def _tier(self):
-        """Context manager activating this measure's hot-loop tier."""
-        return use_jit(True) if self._jit else nullcontext()
 
     # ------------------------------------------------------------------
     # batched pre-pass (chunk-at-a-time cheap stages)
@@ -359,10 +336,9 @@ class EngineMeasure(DensityMeasure):
                 return None
             view = world.view()
             indptr, neighbors = view.csr()
-            with self._tier():
-                _order, _edges, num, den, _size, _degen = _peel_arrays(
-                    view.n, indptr, neighbors
-                )
+            _order, _edges, num, den, _size, _degen = _peel_arrays(
+                view.n, indptr, neighbors
+            )
             if num <= 0:  # pragma: no cover - edges imply a positive bound
                 self.worlds_filtered += 1
                 return None
@@ -373,8 +349,7 @@ class EngineMeasure(DensityMeasure):
                 node_alive = np.ones(indexed.n, dtype=bool)
                 edge_alive = world.mask
         core = SubWorldView(indexed, edge_alive, node_alive)
-        with self._tier():
-            return prepare_from_bound_csr(core, Fraction(num, den))
+        return prepare_from_bound_csr(core, Fraction(num, den))
 
     # ------------------------------------------------------------------
     # clique/pattern pre-filtering

@@ -602,7 +602,7 @@ class WorldStore:
 
         resolved = resolve_engine(engine, None, measure)
         if resolved in VECTOR_ENGINES:
-            engine_measure = EngineMeasure(measure, tier=resolved)
+            engine_measure = EngineMeasure(measure)
             return (
                 primed_world_stream(
                     self.mask_worlds(subset), engine_measure

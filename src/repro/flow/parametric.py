@@ -53,9 +53,9 @@ smaller network is solved cold with
 :func:`repro.flow.push_relabel.csr_push_relabel` instead of draining
 the chain.
 
-The pure-python implementation below is the always-available tier; the
-optional JIT tier (:mod:`repro.engine.jit`) compiles the phase-1
-discharge loop over flat int64 arrays when numba is installed.
+Both phases are the one loop of :meth:`Preflow.discharge`: the chain's
+:meth:`ReverseChain.run` resumes it in phase 1 (park at height ``n``),
+:meth:`ReverseChain.drain` finishes with phase 2.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class ReverseChain(Preflow):
 
     __slots__ = (
         "view", "n", "num", "den", "_position", "_pair_tail",
-        "_pair_head", "_src_arcs", "_heights_exact", "_np_topology",
+        "_pair_head", "_src_arcs", "_heights_exact",
     )
 
     def __init__(self, view: "SubWorldView", bound: Fraction) -> None:
@@ -122,7 +122,6 @@ class ReverseChain(Preflow):
         for e in range(ind[src], ind[src + 1]):
             self._src_arcs[net.to[e]] = e
         self.saturate_source()
-        self._np_topology = None
         # analytic initial heights, exactly what the BFS of
         # :meth:`global_relabel` would compute on the fresh preflow:
         # every incident node owns a residual degree arc straight to the
@@ -168,157 +167,14 @@ class ReverseChain(Preflow):
 
         Heights, pointers and parked excess persist across calls, which
         is what makes the chain warm: an :meth:`increment` enqueues only
-        the fresh excess and ``run`` picks up from the previous state.
-
-        With the JIT tier active the discharge runs as the compiled
-        flat-array port (:func:`repro.engine.jit.phase1_discharge`) on
-        ``int64`` state copies; capacities beyond ``int64`` -- possible
-        because the chain's common denominator grows multiplicatively --
-        stay on the exact python loop below.
+        the fresh excess and ``run`` resumes :meth:`Preflow.discharge`'s
+        phase 1 from the previous state.
         """
-        from ..engine import jit as _jit
-
-        if _jit.jit_active():
-            value = self._run_jit()
-            if value is not None:
-                return value
-        net = self.net
-        nodes = net.num_nodes
-        s, t = net.source, net.sink
-        to, cap, twin, indptr = net.to, net.cap, net.twin, net.indptr
-        height = self.height
-        excess = self.excess
-        count_at_height = self.count_at_height
-        pointers = self.pointers
-        in_queue = self.in_queue
-        active = self.active
-        infinity = 2 * nodes
-        relabels_since_global = 0
-        pop = active.popleft
-        push = active.append
-        dirty = bool(active)
-        while active:
-            node = pop()
-            in_queue[node] = False
-            node_height = height[node]
-            if node_height >= nodes:
-                continue
-            limit = indptr[node + 1]
-            node_excess = excess[node]
-            e = pointers[node]
-            while node_excess > 0:
-                if e >= limit:
-                    # ---- relabel (inlined: the hot loop) ----
-                    old = node_height
-                    smallest = infinity
-                    for a in range(indptr[node], limit):
-                        if cap[a] > 0:
-                            h = height[to[a]]
-                            if h < smallest:
-                                smallest = h
-                    node_height = smallest + 1
-                    height[node] = node_height
-                    count_at_height[old] -= 1
-                    count_at_height[node_height] += 1
-                    e = indptr[node]
-                    if count_at_height[old] == 0 and old < nodes:
-                        # gap: everything between the empty level and the
-                        # cut is disconnected from the sink'
-                        for other in range(nodes):
-                            oh = height[other]
-                            if old < oh <= nodes and other != s:
-                                count_at_height[oh] -= 1
-                                height[other] = nodes + 1
-                                count_at_height[nodes + 1] += 1
-                        node_height = height[node]
-                    relabels_since_global += 1
-                    if relabels_since_global >= nodes:
-                        relabels_since_global = 0
-                        excess[node] = node_excess
-                        self.global_relabel()
-                        node_excess = 0
-                        break
-                    if node_height >= nodes:
-                        excess[node] = node_excess
-                        node_excess = 0
-                        break
-                    continue
-                residual = cap[e]
-                if residual > 0:
-                    head = to[e]
-                    if node_height == height[head] + 1:
-                        delta = (
-                            node_excess if node_excess < residual
-                            else residual
-                        )
-                        cap[e] = residual - delta
-                        cap[twin[e]] += delta
-                        node_excess -= delta
-                        excess[head] += delta
-                        # non-terminal excess is never negative, so the
-                        # freshly increased excess[head] is positive
-                        if not in_queue[head] and head != s and head != t:
-                            in_queue[head] = True
-                            push(head)
-                        continue
-                e += 1
-            else:
-                excess[node] = node_excess
-                pointers[node] = e
+        dirty = bool(self.active)
+        value = self.discharge(phase1=True)
         if dirty:
             self._heights_exact = False
-        return self.excess[t]
-
-    def _run_jit(self) -> "int | None":
-        """Delegate one :meth:`run` to the flat-array JIT discharge.
-
-        Copies the chain state into ``int64`` arrays, runs
-        :func:`repro.engine.jit.phase1_discharge` warm, and copies the
-        mutated state back, so python and JIT calls interleave freely on
-        the same chain.  Returns ``None`` (caller falls back to the
-        python loop) when any capacity or excess overflows ``int64``.
-        """
-        from ..engine import jit as _jit
-
-        net = self.net
-        try:
-            cap = np.array(net.cap, dtype=np.int64)
-            excess = np.array(self.excess, dtype=np.int64)
-        except OverflowError:
-            return None
-        if self._np_topology is None:
-            self._np_topology = (
-                np.array(net.to, dtype=np.int64),
-                np.array(net.twin, dtype=np.int64),
-                np.array(net.indptr, dtype=np.int64),
-            )
-        to, twin, indptr = self._np_topology
-        nodes = net.num_nodes
-        height = np.array(self.height, dtype=np.int64)
-        count_at_height = np.array(self.count_at_height, dtype=np.int64)
-        pointers = np.array(self.pointers, dtype=np.int64)
-        in_queue = np.array(self.in_queue, dtype=np.bool_)
-        queue = np.zeros(nodes + 1, dtype=np.int64)
-        qtail = 0
-        for v in self.active:
-            queue[qtail] = v
-            qtail += 1
-        dirty = qtail > 0
-        value = _jit.phase1_discharge(
-            to, cap, twin, indptr, excess, height, count_at_height,
-            pointers, in_queue, queue, 0, qtail,
-            net.source, net.sink, nodes,
-        )
-        net.cap[:] = cap.tolist()
-        self.excess[:] = excess.tolist()
-        self.height[:] = height.tolist()
-        self.count_at_height[:] = count_at_height.tolist()
-        self.pointers[:] = pointers.tolist()
-        self.in_queue[:] = in_queue.tolist()
-        self.active.clear()
-        if dirty:
-            self._heights_exact = False
-        return int(value)
+        return value
 
     # ------------------------------------------------------------------
     # parametric update
@@ -372,7 +228,7 @@ class ReverseChain(Preflow):
     def drain(self) -> None:
         """Phase 2: return parked excess to the source' (preflow -> flow).
 
-        Runs :meth:`Preflow.discharge`, the loop
+        Runs phase 2 of :meth:`Preflow.discharge`, the loop
         :func:`repro.flow.push_relabel.csr_push_relabel` runs: heights
         become ``d(v, sink')``, or ``nodes + d(v, source')`` when the
         sink' is unreachable, and every excess node discharges until

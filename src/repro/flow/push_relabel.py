@@ -2,11 +2,15 @@
 
 :class:`Preflow` is the one Goldberg-Tarjan FIFO push-relabel core over
 the flat-array :class:`~repro.flow.csr.CSRFlowNetwork`: arcs are plain
-list entries instead of Python objects.  :func:`csr_push_relabel`
-saturates the source and discharges; the vectorised engine's warm
-parametric chain (:class:`repro.flow.parametric.ReverseChain`)
-subclasses :class:`Preflow`, drains its parked excess through the same
-:meth:`Preflow.discharge` and relabels through the same
+list entries instead of Python objects.  Its :meth:`Preflow.discharge`
+is the flow layer's only push-relabel loop, run in one of two phases:
+phase 1 parks nodes cut off from the sink and leaves a maximum preflow;
+phase 2 returns every excess to conservation and leaves a maximum flow.
+:func:`csr_push_relabel` saturates the source and runs phase 2.  The
+vectorised engine's warm parametric chain
+(:class:`repro.flow.parametric.ReverseChain`) subclasses
+:class:`Preflow`: it resumes phase 1 after every ``alpha`` increment,
+drains its parked excess with phase 2 and relabels through the same
 :meth:`Preflow.relabel_to_distances`.  The chain calls
 :func:`csr_push_relabel` to solve a component cold when the exact
 density re-shrinks the component to a tighter core.  Its tests pin it
@@ -117,14 +121,27 @@ class Preflow:
                 in_queue[i] = True
                 active.append(i)
 
-    def discharge(self) -> int:
-        """Discharge every excess node to conservation; return the flow value.
+    def discharge(self, phase1: bool = False) -> int:
+        """Discharge the FIFO queue to quiescence; return the flow value.
 
-        Starts from exact two-terminal distances, then runs the FIFO loop
-        with current-arc pointers, the gap heuristic and a global
-        relabel after every ``nodes`` relabels -- which is what keeps the
-        excess-return phase from climbing heights one relabel at a time
-        on Goldberg's star-shaped networks.
+        The one push-relabel loop of the flow layer: current-arc
+        pointers, the gap heuristic and a global relabel after every
+        ``nodes`` relabels -- which is what keeps the excess-return
+        phase from climbing heights one relabel at a time on Goldberg's
+        star-shaped networks.  It runs in two phases:
+
+        * phase 2 (the default) starts from exact two-terminal distances
+          and discharges every excess node to conservation, so the
+          network ends up carrying a maximum flow;
+        * ``phase1=True`` resumes from the current heights and queue (no
+          initial relabel), relabels from the sink alone, and *parks* a
+          node once its height reaches ``nodes``: its excess stays and it
+          leaves the queue, so the result is a maximum preflow.  This is
+          the warm step of :class:`repro.flow.parametric.ReverseChain`.
+
+        A parked node keeps its stale current-arc pointer; phase 2 parks
+        only past ``2 * nodes`` (no residual path to either terminal),
+        which a maximum preflow never produces.
         """
         net = self.net
         nodes = net.num_nodes
@@ -137,72 +154,89 @@ class Preflow:
         in_queue = self.in_queue
         active = self.active
         infinity = 2 * nodes
-        self.relabel_to_distances((t, s))
+        if phase1:
+            starts = (t,)
+            park = nodes
+        else:
+            starts = (t, s)
+            park = infinity + 1
+            self.relabel_to_distances(starts)
         relabels_since_global = 0
+        pop = active.popleft
+        push = active.append
         while active:
-            node = active.popleft()
+            node = pop()
             in_queue[node] = False
+            node_height = height[node]
+            if node_height >= park:
+                continue
             limit = indptr[node + 1]
             node_excess = excess[node]
+            e = pointers[node]
             while node_excess > 0:
-                e = pointers[node]
                 if e >= limit:
-                    old = height[node]
+                    # ---- relabel (inlined: the hot loop) ----
+                    old = node_height
                     smallest = infinity
                     for a in range(indptr[node], limit):
-                        if cap[a] > 0 and height[to[a]] < smallest:
-                            smallest = height[to[a]]
-                    height[node] = smallest + 1
+                        if cap[a] > 0:
+                            h = height[to[a]]
+                            if h < smallest:
+                                smallest = h
+                    node_height = smallest + 1
+                    height[node] = node_height
                     count_at_height[old] -= 1
-                    count_at_height[smallest + 1] += 1
-                    pointers[node] = indptr[node]
-                    # gap heuristic: a now-empty level below n disconnects
-                    # everything above it from the sink; lift those nodes
-                    # past n in one step
+                    count_at_height[node_height] += 1
+                    e = indptr[node]
                     if count_at_height[old] == 0 and old < nodes:
+                        # gap: a now-empty level below n disconnects
+                        # everything above it from the sink; lift those
+                        # nodes past n in one step
                         for other in range(nodes):
-                            if old < height[other] <= nodes and other != s:
-                                count_at_height[height[other]] -= 1
+                            oh = height[other]
+                            if old < oh <= nodes and other != s:
+                                count_at_height[oh] -= 1
                                 height[other] = nodes + 1
                                 count_at_height[nodes + 1] += 1
+                        node_height = height[node]
                     relabels_since_global += 1
                     if relabels_since_global >= nodes:
                         relabels_since_global = 0
                         excess[node] = node_excess
-                        self.relabel_to_distances((t, s))
+                        self.relabel_to_distances(starts)
                         node_excess = 0  # re-queued (if still routable)
                         break
-                    if height[node] > infinity:  # pragma: no cover
+                    if node_height >= park:
                         excess[node] = node_excess
                         break
                     continue
-                head = to[e]
                 residual = cap[e]
-                if residual > 0 and height[node] == height[head] + 1:
-                    delta = node_excess if node_excess < residual \
-                        else residual
-                    cap[e] = residual - delta
-                    cap[twin[e]] += delta
-                    node_excess -= delta
-                    excess[head] += delta
-                    if (
-                        not in_queue[head]
-                        and head != s
-                        and head != t
-                        and excess[head] > 0
-                    ):
-                        in_queue[head] = True
-                        active.append(head)
-                else:
-                    pointers[node] = e + 1
+                if residual > 0:
+                    head = to[e]
+                    if node_height == height[head] + 1:
+                        delta = (
+                            node_excess if node_excess < residual
+                            else residual
+                        )
+                        cap[e] = residual - delta
+                        cap[twin[e]] += delta
+                        node_excess -= delta
+                        excess[head] += delta
+                        # non-terminal excess is never negative, so the
+                        # freshly increased excess[head] is positive
+                        if not in_queue[head] and head != s and head != t:
+                            in_queue[head] = True
+                            push(head)
+                        continue
+                e += 1
             else:
                 excess[node] = node_excess
+                pointers[node] = e
             if (  # pragma: no cover - defensive re-queue
-                excess[node] > 0 and not in_queue[node]
-                and node != s and node != t
+                not phase1 and excess[node] > 0 and not in_queue[node]
             ):
                 in_queue[node] = True
-                active.append(node)
+                push(node)
         return excess[t]
 
 

@@ -1152,6 +1152,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=("auto", "python", "vectorized", "jit"),
         default="auto",
+        help="default possible-world engine ('jit' is an alias of "
+        "'vectorized'; see repro.engine)",
     )
     parser.add_argument(
         "--workers", type=_workers_arg, default="auto", metavar="N|auto",

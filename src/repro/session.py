@@ -334,10 +334,8 @@ class Session:
         The uncertain graph every query runs against.
     engine:
         Default engine for queries (``"auto" | "python" | "vectorized" |
-        "jit"``); individual queries may override it.  ``jit`` (and
-        ``auto`` when numba is installed) runs the vectorized engine
-        with compiled hot loops; without numba it falls back to
-        ``vectorized``.  Estimates are identical either way.
+        "jit"``); individual queries may override it.  ``jit`` is an
+        alias of ``vectorized``.  Estimates are identical either way.
     workers:
         Default worker count for queries (``1`` = sequential,
         ``"auto"`` = host-sized fan-out, or an explicit count).

@@ -540,19 +540,7 @@ class ReverseChain:
         Heights, pointers and parked excess persist across calls, which
         is what makes the chain warm: an :meth:`increment` enqueues only
         the fresh excess and ``run`` picks up from the previous state.
-
-        With the JIT tier active the discharge runs as the compiled
-        flat-array port (:func:`repro.engine.jit.phase1_discharge`) on
-        ``int64`` state copies; capacities beyond ``int64`` -- possible
-        because the chain's common denominator grows multiplicatively --
-        stay on the exact python loop below.
         """
-        from repro.engine import jit as _jit
-
-        if _jit.jit_active():
-            value = self._run_jit()
-            if value is not None:
-                return value
         net = self.net
         nodes = net.num_nodes
         s, t = net.source, net.sink
@@ -639,57 +627,6 @@ class ReverseChain:
         if dirty:
             self._heights_exact = False
         return self.excess[t]
-
-    def _run_jit(self) -> "int | None":
-        """Delegate one :meth:`run` to the flat-array JIT discharge.
-
-        Copies the chain state into ``int64`` arrays, runs
-        :func:`repro.engine.jit.phase1_discharge` warm, and copies the
-        mutated state back, so python and JIT calls interleave freely on
-        the same chain.  Returns ``None`` (caller falls back to the
-        python loop) when any capacity or excess overflows ``int64``.
-        """
-        from repro.engine import jit as _jit
-
-        net = self.net
-        try:
-            cap = np.array(net.cap, dtype=np.int64)
-            excess = np.array(self.excess, dtype=np.int64)
-        except OverflowError:
-            return None
-        if self._np_topology is None:
-            self._np_topology = (
-                np.array(net.to, dtype=np.int64),
-                np.array(net.twin, dtype=np.int64),
-                np.array(net.indptr, dtype=np.int64),
-            )
-        to, twin, indptr = self._np_topology
-        nodes = net.num_nodes
-        height = np.array(self.height, dtype=np.int64)
-        count_at_height = np.array(self.count_at_height, dtype=np.int64)
-        pointers = np.array(self.pointers, dtype=np.int64)
-        in_queue = np.array(self.in_queue, dtype=np.bool_)
-        queue = np.zeros(nodes + 1, dtype=np.int64)
-        qtail = 0
-        for v in self.active:
-            queue[qtail] = v
-            qtail += 1
-        dirty = qtail > 0
-        value = _jit.phase1_discharge(
-            to, cap, twin, indptr, excess, height, count_at_height,
-            pointers, in_queue, queue, 0, qtail,
-            net.source, net.sink, nodes,
-        )
-        net.cap[:] = cap.tolist()
-        self.excess[:] = excess.tolist()
-        self.height[:] = height.tolist()
-        self.count_at_height[:] = count_at_height.tolist()
-        self.pointers[:] = pointers.tolist()
-        self.in_queue[:] = in_queue.tolist()
-        self.active.clear()
-        if dirty:
-            self._heights_exact = False
-        return int(value)
 
     # ------------------------------------------------------------------
     # parametric update

@@ -101,7 +101,7 @@ class Drain:
     def _stream(self, measure, engine):
         resolved = resolve_engine(engine, None, measure)
         if resolved in VECTOR_ENGINES:
-            engine_measure = EngineMeasure(measure, tier=resolved)
+            engine_measure = EngineMeasure(measure)
             return (
                 primed_world_stream(self.mask_worlds(), engine_measure),
                 engine_measure, engine_measure,

@@ -18,13 +18,11 @@ from repro.core.measures import CliqueDensity, EdgeDensity, PatternDensity
 from repro.core.mpds import top_k_mpds
 from repro.core.nds import top_k_nds
 from repro.engine import (
-    HAVE_NUMBA,
     VECTOR_ENGINES,
     VectorizedLazyPropagationSampler,
     VectorizedMonteCarloSampler,
     VectorizedStratifiedSampler,
     resolve_engine,
-    use_jit,
 )
 from repro.graph.uncertain import UncertainGraph
 from repro.patterns.pattern import Pattern
@@ -83,7 +81,7 @@ class TestAutoCoversEverything:
         measure = make_measure(measure_name)
         resolved = resolve_engine("auto", sampler, measure)
         assert resolved in VECTOR_ENGINES
-        assert resolved == ("jit" if HAVE_NUMBA else "vectorized")
+        assert resolved == "vectorized"
 
     @pytest.mark.parametrize(
         "vectorized_cls",
@@ -137,12 +135,7 @@ class TestMPDSDifferential:
 
 
 class TestJitTierDifferential:
-    """Same sweep with the JIT tier forced on (interpreted without numba).
-
-    ``engine='jit'`` resolves to ``'vectorized'`` on numba-less hosts, so
-    forcing the tier via :func:`use_jit` is what actually exercises the
-    flat-array ports inside every sampler x measure cell.
-    """
+    """Same sweep through the ``engine='jit'`` alias of ``vectorized``."""
 
     @pytest.mark.parametrize("measure_name", MPDS_MEASURES)
     @pytest.mark.parametrize("sampler_name", SAMPLER_NAMES)
@@ -155,11 +148,10 @@ class TestJitTierDifferential:
             sampler=sampler, seed=7, engine="python",
         )
         sampler = make_sampler(sampler_name, graph, 7)
-        with use_jit(True):
-            tiered = top_k_mpds(
-                graph, k=3, theta=theta, measure=make_measure(measure_name),
-                sampler=sampler, seed=7, engine="jit",
-            )
+        tiered = top_k_mpds(
+            graph, k=3, theta=theta, measure=make_measure(measure_name),
+            sampler=sampler, seed=7, engine="jit",
+        )
         assert python.candidates == tiered.candidates
         assert python.top == tiered.top
         assert python.densest_counts == tiered.densest_counts
@@ -173,13 +165,61 @@ class TestJitTierDifferential:
             engine="python",
         )
         sampler = make_sampler(sampler_name, graph, 7)
-        with use_jit(True):
-            tiered = top_k_nds(
-                graph, k=3, min_size=2, theta=24, sampler=sampler, seed=7,
-                engine="jit",
-            )
+        tiered = top_k_nds(
+            graph, k=3, min_size=2, theta=24, sampler=sampler, seed=7,
+            engine="jit",
+        )
         assert python.top == tiered.top
         assert python.transactions == tiered.transactions
+
+
+class TestEngineJitName:
+    """``engine='jit'`` is an alias of ``vectorized``, end to end."""
+
+    def test_resolve_engine_jit_alias(self):
+        for engine in ("jit", "vectorized"):
+            assert resolve_engine(engine, None, EdgeDensity()) == (
+                "vectorized"
+            )
+
+    def test_resolve_engine_jit_requires_replayable_sampler(self):
+        class CustomSampler:
+            pass
+
+        with pytest.raises(ValueError, match="MC, LP and RSS"):
+            resolve_engine("jit", CustomSampler(), EdgeDensity())
+
+    def test_top_k_accepts_jit(self):
+        graph = random_uncertain_graph(
+            random.Random(1), 8, 0.5, low=0.3, high=0.9
+        )
+        python = top_k_mpds(graph, k=2, theta=16, seed=2, engine="python")
+        via_jit = top_k_mpds(graph, k=2, theta=16, seed=2, engine="jit")
+        assert python.candidates == via_jit.candidates
+        assert python.top == via_jit.top
+
+    def test_session_accepts_jit(self):
+        from repro.session import Session
+
+        graph = random_uncertain_graph(
+            random.Random(2), 8, 0.5, low=0.3, high=0.9
+        )
+        session = Session(graph, engine="jit")
+        result = session.query().sampler(theta=12, seed=4).top_k(2).mpds()
+        control = top_k_mpds(graph, k=2, theta=12, seed=4, engine="python")
+        assert result.candidates == control.candidates
+
+    def test_workers_accept_jit(self):
+        from repro.session import Session
+
+        graph = random_uncertain_graph(
+            random.Random(3), 9, 0.5, low=0.3, high=0.9
+        )
+        session = Session(graph, engine="jit", workers=2)
+        result = session.query().sampler(theta=16, seed=6).top_k(2).mpds()
+        control = top_k_mpds(graph, k=2, theta=16, seed=6, engine="python")
+        assert result.candidates == control.candidates
+        assert result.top == control.top
 
 
 class TestNDSDifferential:
