@@ -176,12 +176,6 @@ class TestJitTierDifferential:
 class TestEngineJitName:
     """``engine='jit'`` is an alias of ``vectorized``, end to end."""
 
-    def test_resolve_engine_jit_alias(self):
-        for engine in ("jit", "vectorized"):
-            assert resolve_engine(engine, None, EdgeDensity()) == (
-                "vectorized"
-            )
-
     def test_resolve_engine_jit_requires_replayable_sampler(self):
         class CustomSampler:
             pass
