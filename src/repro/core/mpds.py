@@ -120,7 +120,7 @@ def finalize_mpds(
     or an already accumulated tally into the Algorithm 1 result.
 
     The result copies the tally's candidates and counts and keeps the
-    tally as its ``_base``, whose candidates text it shares.  A session
+    tally as its ``_base``.  A session
     evaluation entry passes the tally it keeps, so a warm hit only
     ranks, and only when its ``k`` outgrows the tally's ranked prefix:
     :func:`rank_top_k` for ``k`` is the first ``k`` pairs of any longer

@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from operator import is_
-from typing import Dict, FrozenSet, Hashable, List, Optional
+from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 NodeSet = FrozenSet[Hashable]
 
@@ -35,24 +34,44 @@ def _number(value) -> str:
 
 class SerialMemo:
     """Node set -> its :func:`_node_list` (``to_dict`` fills it, handing
-    out copies) and that list's JSON text (``to_json`` fills it).  Both
-    depend only on the set's members, so racing threads store equal
-    values and nothing goes stale; owners bound it with :meth:`retain`."""
+    out copies) and its candidate piece ``(p, "[<node list>, <p>]")``
+    as ``to_json`` last rendered it.  A piece serves only the very ``p``
+    it was rendered for (:meth:`render`), so racing threads and edited
+    results can re-render it but never read a stale one; owners bound
+    the memo with :meth:`retain`."""
 
     def __init__(self) -> None:
         self.lists: Dict[NodeSet, list] = {}
-        self.fragments: Dict[NodeSet, str] = {}
+        self.pieces: Dict[NodeSet, Tuple[object, str]] = {}
 
-    def fragment(self, nodes: NodeSet) -> str:
-        text = self.fragments.get(nodes)
-        if text is None:
-            text = self.fragments[nodes] = json.dumps(_node_list(nodes))
-        return text
+    def render(self, candidates: Dict[NodeSet, object]) -> List[str]:
+        """``json.dumps([_node_list(nodes), p])`` of each candidate.  A
+        cached piece is reused when its ``p`` has ``p``'s type and value
+        and is truthy (``1`` never passes for ``1.0``; NaN and signed
+        zeros re-render); another ``p`` re-renders only the number.
+        Only numbers are cached: their text holds no ``", "`` and
+        cannot change."""
+        pieces, parts = self.pieces, []
+        for nodes, p in candidates.items():
+            cached = pieces.get(nodes)
+            if cached is None:
+                head = "[" + json.dumps(_node_list(nodes))
+            else:
+                old, text = cached
+                if type(old) is type(p) and old == p and p:
+                    parts.append(text)
+                    continue
+                head = text[:text.rindex(", ")]
+            text = head + ", " + _number(p) + "]"
+            if isinstance(p, (int, float)):
+                pieces[nodes] = (p, text)
+            parts.append(text)
+        return parts
 
     def retain(self, keep) -> None:
         """Drop every node set not in ``keep`` (iterating snapshots: a
         serializing thread may insert meanwhile)."""
-        for table in (self.lists, self.fragments):
+        for table in (self.lists, self.pieces):
             for nodes in list(table):
                 if nodes not in keep:
                     table.pop(nodes, None)
@@ -75,12 +94,9 @@ class ResultDict(dict):
 
 class MPDSTally:
     """The k-independent half of an Algorithm 1 result: the normalized
-    estimate of every candidate, the world counters, and two caches
-    filled on demand (``None`` until then): ``ranked``, the top of the
-    ranking for the largest k asked so far (a smaller k takes its
-    prefix), and ``text``, the candidates' JSON array once a second
-    result serialized it (``serialized`` marks the first), so a tally
-    serialized once holds no copy of its reply's largest part.
+    estimate of every candidate, the world counters, and ``ranked``
+    (``None`` until a result is ranked), the top of the ranking for the
+    largest k asked so far (a smaller k takes its prefix).
 
     :func:`repro.core.mpds.finalize_mpds` builds one and ranks it; a
     session's evaluation entry keeps it, so a warm hit only ranks.
@@ -89,7 +105,7 @@ class MPDSTally:
     """
 
     __slots__ = ("candidates", "theta", "worlds_with_densest",
-                 "densest_counts", "ranked", "text", "serialized")
+                 "densest_counts", "ranked")
 
     def __init__(self, candidates: Dict[NodeSet, float], theta: int,
                  worlds_with_densest: int, densest_counts: List[int]) -> None:
@@ -98,18 +114,6 @@ class MPDSTally:
         self.worlds_with_densest = worlds_with_densest
         self.densest_counts = densest_counts
         self.ranked: Optional[List[ScoredNodeSet]] = None
-        self.text: Optional[str] = None
-        self.serialized = False
-
-
-def _same_items(mine: dict, theirs: dict) -> bool:
-    """Whether two dicts hold the very same keys and values, in the
-    same order (identity, so ``1`` never passes for ``1.0``)."""
-    return (
-        len(mine) == len(theirs)
-        and all(map(is_, mine, theirs))
-        and all(map(is_, mine.values(), theirs.values()))
-    )
 
 
 @dataclass(frozen=True)
@@ -162,19 +166,15 @@ class SerializableResult:
 
     def to_json(self, **kwargs) -> str:
         """Serialize to a JSON string (``kwargs`` pass to ``json.dumps``;
-        without them the text is assembled from :meth:`_json_fields`,
+        without them the text is one join of :meth:`_json_parts`,
         byte-identical to ``json.dumps(self.to_dict())``)."""
         if kwargs:
             return json.dumps(self.to_dict(), **kwargs)
-        return "{" + ", ".join([
-            json.dumps(key) + ": " + text
-            for key, text in self._json_fields().items()
-        ]) + "}"
+        return ", ".join(self._json_parts())
 
-    def _json_fields(self) -> dict:
-        """The JSON text of each :meth:`to_dict` field, in its order."""
-        fields = self.to_dict()
-        return {key: json.dumps(fields[key]) for key in fields}
+    def _json_parts(self) -> List[str]:
+        """Texts whose ``", "``-join is the JSON of :meth:`to_dict`."""
+        return [json.dumps(self.to_dict())]
 
     @classmethod
     def from_json(cls, text: str) -> "SerializableResult":
@@ -219,13 +219,11 @@ class MPDSResult(SerializableResult):
     Two private fields take no part in equality or ``repr``.  A
     session query hands the result its evaluation-cache entry's
     :class:`SerialMemo` as ``_memo``, so each candidate is sorted
-    (``to_dict``) and encoded (``to_json``) once per entry instead of
-    once per call; without one, each call serializes through a
-    throwaway memo.  ``_base`` is the :class:`MPDSTally` the result was
-    ranked from: while ``candidates`` still holds the tally's very
-    items in its order, ``to_json`` reuses the tally's candidates text
-    (or fills it, from the tally's second serialization on) instead of
-    joining every fragment again.
+    (``to_dict``) and encoded (``to_json``) once per entry and
+    probability instead of once per call; without one, each call
+    serializes through a throwaway memo.  ``_base`` is the
+    :class:`MPDSTally` the result was ranked from, which a session
+    entry keeps.
     """
 
     kind = "mpds"
@@ -255,30 +253,20 @@ class MPDSResult(SerializableResult):
             candidates.append([listed[:], probability])
         return ResultDict(self, self._fields(candidates))
 
-    def _json_fields(self) -> dict:
+    def _json_parts(self) -> List[str]:
         fields = self._fields(None)
-        fields = {key: json.dumps(fields[key]) for key in fields}
-        base = self._base
-        text = None
-        if base is not None:
-            if base.serialized and _same_items(self.candidates,
-                                               base.candidates):
-                text = base.text
-                if text is None:
-                    # racing threads store equal texts
-                    text = base.text = self._candidates_json()
-            base.serialized = True
-        fields["candidates"] = (
-            self._candidates_json() if text is None else text
-        )
-        return fields
-
-    def _candidates_json(self) -> str:
-        fragment = (self._memo or SerialMemo()).fragment
-        return "[" + ", ".join([
-            "[" + fragment(nodes) + ", " + _number(probability) + "]"
-            for nodes, probability in self.candidates.items()
-        ]) + "]"
+        at = list(fields).index("candidates")
+        texts = [json.dumps(key) + ": " + json.dumps(fields[key])
+                 for key in fields]
+        parts = (self._memo or SerialMemo()).render(self.candidates)
+        # the small fields ride on the first and last candidate pieces
+        head = "{" + ", ".join(texts[:at]) + ', "candidates": ['
+        tail = "], " + ", ".join(texts[at + 1:]) + "}"
+        if not parts:
+            return [head + tail]
+        parts[0] = head + parts[0]
+        parts[-1] += tail
+        return parts
 
     def _fields(self, candidates) -> dict:
         return {

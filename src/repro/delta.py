@@ -55,6 +55,7 @@ order survives maintenance byte-identically too.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -405,12 +406,29 @@ class DeltaOutcome:
 
 
 def _edge_ids(indexed) -> dict:
-    """Canonical edge labels -> edge id, for one IndexedGraph."""
-    nodes = indexed.nodes
-    return {
-        canonical_edge(nodes[indexed.edge_u[j]], nodes[indexed.edge_v[j]]): j
-        for j in range(indexed.m)
-    }
+    """Canonical edge labels -> edge id, for one IndexedGraph (cached
+    on it, and shared by its :func:`reweighted_index` twins)."""
+    ids = indexed.edge_ids
+    if ids is None:
+        nodes = indexed.nodes
+        ids = indexed.edge_ids = {
+            canonical_edge(nodes[u], nodes[v]): j
+            for j, (u, v) in enumerate(zip(indexed.edge_u.tolist(),
+                                           indexed.edge_v.tolist()))
+        }
+    return ids
+
+
+def reweighted_index(indexed, updates):
+    """``indexed`` after the probability ``updates`` of a delta with no
+    inserts or deletes: the layout stays, so only ``probs`` is copied
+    (labels, endpoints, the CSR and the edge-id map are shared)."""
+    ids = _edge_ids(indexed)
+    twin = copy.copy(indexed)
+    twin.probs = indexed.probs.copy()
+    for u, v, p in updates:
+        twin.probs[ids[(u, v)]] = p
+    return twin
 
 
 def apply_store_delta(store, resolved: ResolvedDelta, new_indexed):

@@ -40,7 +40,8 @@ from ..graph.uncertain import UncertainGraph
 class IndexedGraph:
     """Array-of-edges view of an uncertain graph (see module docstring)."""
 
-    __slots__ = ("nodes", "node_index", "edge_u", "edge_v", "probs", "_csr")
+    __slots__ = ("nodes", "node_index", "edge_u", "edge_v", "probs", "_csr",
+                 "edge_ids")
 
     def __init__(
         self,
@@ -57,6 +58,8 @@ class IndexedGraph:
         self.edge_v = edge_v
         self.probs = probs
         self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: canonical edge labels -> edge id, filled by :mod:`repro.delta`
+        self.edge_ids: Optional[dict] = None
 
     @classmethod
     def from_uncertain(cls, graph: UncertainGraph) -> "IndexedGraph":

@@ -494,24 +494,27 @@ def encode_reply(payload: dict) -> bytes:
     A top-level :class:`~repro.core.results.ResultDict` value (a
     result's ``to_dict()``) is written as its result's ``to_json()``
     text instead of being encoded again; a session's MPDS results reuse
-    their evaluation entry's cached candidates text there, so a warm
+    their evaluation entry's cached candidate pieces there, so a warm
     reply encodes only its small fields.  The splice joins the fields
-    with ``json.dumps``'s default separators; a payload with a
-    non-string key is encoded whole.
+    with ``json.dumps``'s default separators in one join, so the result
+    text is copied once; a payload with a non-string key is encoded
+    whole.
     """
     if not (
         any(type(value) is ResultDict for value in payload.values())
         and all(type(key) is str for key in payload)
     ):
         return json.dumps(payload).encode("utf-8")
-    return ("{" + ", ".join([
-        json.dumps(key) + ": " + (
+    parts = []
+    for key, value in payload.items():
+        parts += (", ", json.dumps(key), ": ", (
             value.result.to_json()
             if type(value) is ResultDict
             else json.dumps(value)
-        )
-        for key, value in payload.items()
-    ]) + "}").encode("utf-8")
+        ))
+    parts[0] = "{"  # the payload is not empty: it holds a ResultDict
+    parts.append("}")
+    return "".join(parts).encode("utf-8")
 
 
 class _HTTPError(Exception):

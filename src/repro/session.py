@@ -257,15 +257,13 @@ class _EvalEntry:
     only the misses: records are per-world, so the splice is
     byte-identical to a full pass.  Updates drop entries that replayed
     truncated worlds.  MPDS results serialize through ``serial``, which
-    outlives patches; the world memo bounds it.
+    keeps one text piece per candidate and outlives patches, so a step
+    re-renders only the candidates whose probability moved; the world
+    memo bounds it.
 
     ``tally`` is the k-independent half of an MPDS finalize (the
-    :class:`MPDSTally`, with the candidates' JSON text once a second
-    result serialized them), filled by the first MPDS hit; later hits
-    only rank.  Once a static entry (``memo is None``) holds that text,
-    its ``serial`` drops the fragments the text was joined from (a
-    result with edited candidates encodes them again); dynamic entries
-    keep theirs, since their patches share ``serial``.
+    :class:`MPDSTally`), filled by the first MPDS hit; later hits only
+    rank.
 
     ``mined`` maps an NDS query's exact ``(k, min_size)`` to the
     :class:`NDSResult` the first hit of that shape mined, so a later
@@ -274,8 +272,8 @@ class _EvalEntry:
     arrival order).  It keeps at most ``NDS_MEMO_LIMIT`` shapes.
 
     A dirty entry is never served, and its patch builds a new entry
-    without a tally or mined results, so nothing outlives the records
-    it was built from.
+    without a tally or mined results, so neither outlives the records
+    it was built from (a piece serves only the probability it shows).
     """
 
     records: list
@@ -350,15 +348,14 @@ class Session:
     evicted -- every distinct seeded ``(sampler, theta, seed)`` draw
     pins its ``(T, m)`` mask matrix (see ``WorldStore.nbytes``), and
     every distinct (draw, measure, engine, knobs) combination pins its
-    per-world records (MPDS ones also the canonical list and JSON
-    fragment of each candidate they serialized, and one tally with the
-    candidates' JSON text once two results serialized them, which
+    per-world records (MPDS ones also a tally and the canonical list
+    and JSON piece of each candidate they serialized, which
     ``stats_snapshot`` gauges as
     ``cached_result_texts`` / ``cached_result_text_bytes``; NDS ones
     the mined result of at most ``NDS_MEMO_LIMIT`` ``(k, min_size)``
     shapes, gauged as ``cached_nds_results``; entries
     over dynamic stores also a world memo of at most
-    ``MEMO_LIMIT * theta`` records, which bounds those fragments too),
+    ``MEMO_LIMIT * theta`` records, which bounds those pieces too),
     until :meth:`close`.  Size sessions to a working set (typically
     one or a few draws queried many ways -- where the amortization
     lives); for unbounded-diversity traffic, close and recreate
@@ -445,12 +442,16 @@ class Session:
             snapshot["cached_nds_results"] = sum(
                 len(entry.mined) for entry in self._eval_cache.values()
             )
-            texts = [
-                entry.tally.text for entry in self._eval_cache.values()
-                if entry.tally is not None and entry.tally.text is not None
-            ]
-        snapshot["cached_result_texts"] = len(texts)
-        snapshot["cached_result_text_bytes"] = sum(map(len, texts))
+            # a patch hands its memo on, so count each memo once
+            memos = dict.fromkeys(
+                entry.serial for entry in self._eval_cache.values()
+                if entry.serial.pieces
+            )
+        snapshot["cached_result_texts"] = len(memos)
+        snapshot["cached_result_text_bytes"] = sum(
+            len(text) for memo in memos
+            for _p, text in list(memo.pieces.values())
+        )
         return snapshot
 
     def has_store(self, key: Tuple) -> bool:
@@ -642,7 +643,7 @@ class Session:
         (``POST /graphs/<name>/update``).  Returns a summary dict of
         the counters this update moved.
         """
-        from .delta import GraphDelta, apply_store_delta
+        from .delta import GraphDelta, apply_store_delta, reweighted_index
 
         if not isinstance(delta, GraphDelta):
             raise TypeError(
@@ -680,11 +681,14 @@ class Session:
                 return summary
             from .engine.indexed import IndexedGraph
 
-            new_indexed = IndexedGraph.from_uncertain(self.graph)
-            self._indexed = new_indexed
             # an insert or delete re-lays the mask columns, so packed
             # rows no longer name the edge sets the world memos saw
             relaid = bool(resolved.inserts or resolved.deletes)
+            new_indexed = (
+                IndexedGraph.from_uncertain(self.graph) if relaid
+                else reweighted_index(self._indexed, resolved.updates)
+            )
+            self._indexed = new_indexed
             updated_flips: Dict[Tuple, set] = {}
             evicted = set()
             for key in list(self._stores):
@@ -1218,10 +1222,6 @@ class Query:
                 if tally is None:
                     # racing first hits each keep an equal tally
                     entry.tally = result._base
-                elif tally.text is not None and entry.memo is None:
-                    # the text serves unedited results; edited ones
-                    # encode their candidates afresh
-                    entry.serial.fragments.clear()
                 result._memo = entry.serial
             return result
         shape, lock = (self._k, self._min_size), self._session._lock

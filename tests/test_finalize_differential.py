@@ -213,8 +213,8 @@ def test_memo_stays_bounded_across_update_pairs(dense_graph):
                 }
                 # to_json filled every candidate; the memo holds only
                 # sets the world memo interns, within its record bound
-                assert live <= set(entry.serial.fragments)
-                assert set(entry.serial.fragments) <= set(entry.memo.sets)
+                assert live <= set(entry.serial.pieces)
+                assert set(entry.serial.pieces) <= set(entry.memo.sets)
                 assert set(entry.memo.sets) == held
                 assert len(entry.memo.records) <= MEMO_LIMIT * THETA
                 seen |= live
@@ -247,7 +247,7 @@ def test_threads_fill_one_memo_consistently(dense_graph):
     with Session(dense_graph) as session:
         result = _query(session)
         expected = finalize_mpds(iter(_entry(session).records), 5).to_json()
-        memo = _entry(session).serial.fragments
+        memo = _entry(session).serial.pieces
         texts = []
 
         def serialize():
@@ -258,8 +258,6 @@ def test_threads_fill_one_memo_consistently(dense_graph):
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(4):
-                # the entry's candidates text would skip the fragments
-                _entry(session).tally.text = None
                 memo.clear()
                 threads = [threading.Thread(target=serialize)
                            for _ in range(4)]

@@ -1,21 +1,21 @@
-"""Differential gate for fragment-assembled ``to_json``.
+"""Differential gate for piece-assembled ``to_json``.
 
 With no keyword arguments, :meth:`SerializableResult.to_json` no longer
-runs ``json.dumps`` over ``to_dict()``: an MPDS result splices each
-candidate's memoized JSON fragment (its repr-sorted node list) next to
-its encoded probability.  The contract is that nothing observable
-changes, so every case below compares the assembled text with the
-frozen serialization -- ``json.dumps`` over the dict built afresh --
-over int, str, bool and non-ASCII labels; tied, subnormal, signed-zero,
-``int``, ``numpy.float64`` and non-finite probabilities; empty results;
-NDS results; session results that share an evaluation entry's memo;
-and the ``kwargs`` fallback.  A ledger case pins that the restore step
-of a dynamic what-if pair serializes without filling a single new
-fragment.  The last cases pin the evaluation entry's tally: a result
-whose candidates were edited never reuses (or poisons) the entry's
-cached candidates text, an update never serves the pre-update text,
-``stats_snapshot`` gauges the cached texts, and a static entry drops
-the fragments its tally text replaces (edited results still encode).
+runs ``json.dumps`` over ``to_dict()``: an MPDS result joins each
+candidate's memoized ``[node list, probability]`` piece once, with the
+small fields riding on the first and last piece.  The contract is that
+nothing observable changes, so every case below compares the assembled
+text with the frozen serialization -- ``json.dumps`` over the dict
+built afresh -- over int, str, bool and non-ASCII labels; tied,
+subnormal, signed-zero, ``int``, ``numpy.float64`` and non-finite
+probabilities; empty results; NDS results; sequences of results whose
+probabilities change under one shared memo; session results that share
+an evaluation entry's memo; and the ``kwargs`` fallback.  A ledger case
+pins that the restore step of a dynamic what-if pair renders no node
+list.  The last cases pin the evaluation entry's tally and pieces: a
+result whose candidates were edited never poisons the entry, an update
+never serves the pre-update answer, ``stats_snapshot`` gauges the
+cached pieces, and a static entry keeps one piece per candidate.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.results as results
 from repro.core.mpds import finalize_mpds, top_k_mpds
 from repro.core.results import (
     MPDSResult,
@@ -139,12 +140,57 @@ def test_non_finite_probabilities_encode_like_json_dumps(result):
 def test_a_shared_memo_serializes_identically(result):
     memo = result._memo = SerialMemo()
     first = _assert_frozen(result)
-    assert set(memo.fragments) == set(result.candidates)
+    assert set(memo.pieces) == set(result.candidates)
     data = result.to_dict()
     for nodes, _probability in data["candidates"]:
         nodes.append("poison")
     # a warm memo (and a mutated to_dict copy) changes nothing
     assert _assert_frozen(result) == first
+
+
+#: values whose cached piece must not serve one another
+LOOKALIKES = st.sampled_from([
+    0.0, -0.0, 1, 1.0, True, False, 0, np.float64(1.0), np.float64(-0.0),
+    float("nan"), np.float64("nan"), float("inf"), float("-inf"),
+    5e-324, 1e-310, 0.5, np.float64(0.5),
+])
+
+
+@given(
+    sets=st.lists(NODE_SETS, min_size=1, max_size=6, unique=True),
+    steps=st.lists(
+        st.lists(st.one_of(st.none(), LOOKALIKES, LOOKALIKES, PROBABILITIES),
+                 min_size=1, max_size=6),
+        min_size=2, max_size=6,
+    ),
+)
+@example(sets=[frozenset({1})], steps=[[0.0], [-0.0], [0.0]])
+@example(
+    sets=[frozenset({1})],
+    steps=[[np.float64(0.0)], [np.float64(-0.0)], [0.0], [np.float64(0.0)]],
+)
+@example(sets=[frozenset({"a"})], steps=[[1], [1.0], [True], [1], [False]])
+@example(sets=[frozenset({2})], steps=[[float("nan")], [float("nan")]])
+@settings(max_examples=150, deadline=None)
+def test_pieces_follow_changing_probabilities(sets, steps):
+    """One memo serves a sequence of results whose candidates come,
+    go and change value (``None`` drops one): every call must equal
+    the frozen ``json.dumps``, so no piece is served for a value it
+    was not rendered for."""
+    memo = SerialMemo()
+    for values in steps:
+        candidates = {
+            nodes: value for nodes, value in zip(sets, values)
+            if value is not None
+        }
+        result = MPDSResult(top=[], candidates=candidates, theta=1,
+                            worlds_with_densest=1)
+        result._memo = memo
+        _assert_frozen(result)
+        for nodes, value in candidates.items():
+            assert memo.pieces[nodes] == (
+                value, json.dumps([sorted(nodes, key=repr), value])
+            )
 
 
 @given(
@@ -177,8 +223,8 @@ def test_kwargs_fall_back_to_json_dumps(result):
         assert result.to_json(**kwargs) == json.dumps(
             _frozen_dict(result), **kwargs
         )
-    # the fallback never consults the fragments
-    assert not result._memo.fragments
+    # the fallback never consults the pieces
+    assert not result._memo.pieces
 
 
 def test_to_json_lives_on_the_protocol_only():
@@ -244,11 +290,19 @@ def test_dynamic_session_memo_matches_fresh_results(graph):
                     assert text == _dynamic(cold).mpds().to_json()
 
 
-def test_restore_step_fills_no_new_fragments(graph):
+def test_restore_step_fills_no_new_fragments(graph, monkeypatch):
     """A what-if pair: the perturb step brings new candidates in and
     drops others; its restore brings the dropped ones back, and every
-    one of them is still serialized (the memo is bounded by the world
-    memo's trim, not pruned to live candidates on each patch)."""
+    one of them still has its piece (the memo is bounded by the world
+    memo's trim, not pruned to live candidates on each patch), so the
+    restore renders no candidate's node list."""
+    rendered = []
+
+    def counting(nodes):
+        rendered.append(nodes)
+        return sorted(nodes, key=repr)
+
+    monkeypatch.setattr(results, "_node_list", counting)
     rows = sorted(graph.weighted_edges())
     with Session(graph.copy()) as session:
         _dynamic(session).mpds().to_json()
@@ -258,19 +312,22 @@ def test_restore_step_fills_no_new_fragments(graph):
         for u, v, p in rows[:6]:
             moved = p + 0.25 if p + 0.25 <= 0.95 else p - 0.25
             session.update(GraphDelta(updates=[(u, v, moved)]))
-            before = set(serial.fragments)
-            _dynamic(session).mpds().to_json()
-            moved_any += len(set(serial.fragments) - before)
-            held = dict(serial.fragments)
+            del rendered[:]
+            perturbed = _dynamic(session).mpds()
+            perturbed.to_json()
+            moved_any += len(rendered) - len(perturbed.top)
+            held = set(serial.pieces)
             session.update(GraphDelta(updates=[(u, v, p)]))
+            del rendered[:]
             restored = _dynamic(session).mpds()
-            restored.to_json()
+            text = restored.to_json()
+            # only the top-k entries are listed afresh, no candidate
+            assert rendered == restored.top_sets()
+            assert text == json.dumps(_frozen_dict(restored))
             (entry,) = session._eval_cache.values()
             assert entry.serial is serial is restored._memo
-            assert serial.fragments.keys() == held.keys()
-            assert all(serial.fragments[nodes] is text
-                       for nodes, text in held.items())
-            assert set(restored.candidates) <= held.keys()
+            assert serial.pieces.keys() == held
+            assert set(restored.candidates) <= held
         # the perturb steps did bring new candidates in
         assert moved_any > 0
 
@@ -315,9 +372,7 @@ def test_mutating_a_warm_result_cannot_poison_its_entry(graph, mutate):
     with Session(graph) as session:
         first = _static(session).to_json()
         tally = _tally(session)
-        assert tally.text is None and tally.serialized
         assert _static(session).to_json() == first
-        assert tally.text is not None
         warm = _static(session)
         assert warm._base is tally and warm.candidates is not tally.candidates
         mutate(warm.candidates)
@@ -325,7 +380,7 @@ def test_mutating_a_warm_result_cannot_poison_its_entry(graph, mutate):
         assert text == json.dumps(warm.to_dict())
         assert text == json.dumps(_frozen_dict(warm))
         assert (text == first) == (mutate is _equal_copies)
-        # the entry's tally and text are untouched
+        # the entry's tally and pieces are untouched
         assert _static(session).to_json() == first
         with Session(graph) as fresh:
             assert _static(fresh).to_json() == first
@@ -354,7 +409,9 @@ def test_an_update_never_serves_the_pre_update_text(graph):
         after = _dynamic(live).mpds()
         assert after._base is not old and after._base is _tally(live)
         text = after.to_json()
-        assert old.text == json.dumps(json.loads(before)["candidates"])
+        assert [
+            [sorted(nodes, key=repr), p] for nodes, p in old.candidates.items()
+        ] == json.loads(before)["candidates"]
         with Session(live.graph.copy()) as scratch:
             assert text == _dynamic(scratch).mpds().to_json()
         assert json.loads(before)["candidates"] != json.loads(text)[
@@ -370,20 +427,28 @@ def _gauge(session):
     )
 
 
+def _pieces_bytes(result) -> int:
+    """The chars of the result's candidate pieces, encoded afresh."""
+    return sum(
+        len(json.dumps(pair)) for pair in _frozen_dict(result)["candidates"]
+    )
+
+
 def test_stats_gauge_cached_result_texts(graph):
     with Session(graph.copy()) as session:
         assert _gauge(session) == (0, 0)
         static = _static(session, 3)
+        static.to_dict()
         assert _gauge(session) == (0, 0)
-        static_bytes = len(json.dumps(static.to_dict()["candidates"]))
-        # a tally serialized once holds no text; the second keeps one
+        static_bytes = _pieces_bytes(static)
+        # the first serialization caches the pieces; later ones reuse them
         static.to_json()
-        assert _gauge(session) == (0, 0)
+        assert _gauge(session) == (1, static_bytes)
         for k in range(1, 6):
             _static(session, k).to_json()
         assert _gauge(session) == (1, static_bytes)
         dynamic = _dynamic(session).mpds()
-        dynamic_bytes = len(json.dumps(dynamic.to_dict()["candidates"]))
+        dynamic_bytes = _pieces_bytes(dynamic)
         dynamic.to_json()
         dynamic.to_json()
         session.query().sampler("mc", theta=THETA, seed=SEED).nds()
@@ -393,41 +458,41 @@ def test_stats_gauge_cached_result_texts(graph):
         u, v, p = rows[0]
         moved = p + 0.25 if p + 0.25 <= 0.95 else p - 0.25
         # the static store and its entries are evicted with their
-        # text; the dirty dynamic entry keeps its text until patched
+        # pieces; the dynamic entry's memo outlives the update and patch
         session.update(GraphDelta(updates=[(u, v, moved)]))
         assert _gauge(session) == (1, dynamic_bytes)
         patched = _dynamic(session).mpds()
-        assert _gauge(session) == (0, 0)
+        assert _gauge(session) == (1, dynamic_bytes)
         patched.to_json()
-        assert _gauge(session) == (0, 0)
-        text = patched.to_json()
-        assert _gauge(session) == (
-            1, len(json.dumps(json.loads(text)["candidates"]))
+        (entry,) = [e for e in session._eval_cache.values() if e.memo]
+        stale = sum(
+            len(text) for nodes, (_p, text) in entry.serial.pieces.items()
+            if nodes not in patched.candidates
         )
+        assert _gauge(session) == (1, _pieces_bytes(patched) + stale)
 
 
 def test_a_static_entry_drops_the_fragments_its_text_replaces(graph):
+    """A static entry holds one piece per candidate and no other copy
+    of its candidates text; an edited result still encodes its own."""
     with Session(graph.copy()) as session:
         first = _static(session).to_json()
         assert _static(session).to_json() == first
         (entry,) = session._eval_cache.values()
-        assert entry.memo is None and entry.tally.text is not None
-        assert entry.serial.fragments
+        assert entry.memo is None
+        assert entry.serial.pieces.keys() == entry.tally.candidates.keys()
         warm = _static(session)
-        # the hit after the text landed cleared the fragments
-        assert not entry.serial.fragments
         assert warm.to_json() == first
-        assert not entry.serial.fragments
         _drop_first(warm.candidates)
         text = warm.to_json()
         assert text == json.dumps(warm.to_dict())
         assert text == json.dumps(_frozen_dict(warm)) != first
         assert _static(session).to_json() == first
-        # a dynamic entry's fragments outlive its patches: it keeps them
+        # a dynamic entry's pieces outlive its patches: it keeps them
         for _ in range(3):
             _dynamic(session).mpds().to_json()
         dynamic = next(
             entry for entry in session._eval_cache.values()
             if entry.memo is not None
         )
-        assert dynamic.tally.text is not None and dynamic.serial.fragments
+        assert dynamic.serial.pieces

@@ -471,9 +471,10 @@ class TestStatsPayload:
         for k in (1, 2, 3):
             encode_reply(_query(server, dict(body, k=k)))
         fig1 = server.stats_payload()["sessions"]["fig1"]
+        # one memo of one piece per candidate
         assert fig1["cached_result_texts"] == 1
-        assert fig1["cached_result_text_bytes"] == len(
-            json.dumps(payload["result"]["candidates"])
+        assert fig1["cached_result_text_bytes"] == sum(
+            len(json.dumps(pair)) for pair in payload["result"]["candidates"]
         )
 
     def test_stats_gauge_the_cached_nds_results(self, server):

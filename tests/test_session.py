@@ -686,3 +686,51 @@ class TestResultSerialization:
         payload = json.loads(text)
         assert payload["kind"] == "mpds"
         assert isinstance(payload["top"], list)
+
+
+def test_probability_updates_reweight_the_index():
+    """A delta with only probability updates copies the index's
+    ``probs`` with the updates written and shares the rest of the
+    layout; the result equals a rebuild from the mutated graph, and an
+    insert still rebuilds."""
+    import numpy as np
+
+    from repro.delta import GraphDelta
+    from repro.engine.indexed import IndexedGraph
+
+    rng = random.Random(23)
+    graph = random_uncertain_graph(rng, 30, 0.2, 0.3, 0.9)
+    rows = list(graph.weighted_edges())
+    with Session(graph.copy()) as live:
+        live.query().sampler("mc", theta=16, seed=3).dynamic().top_k(3).mpds()
+        first = live.indexed
+        for _ in range(12):
+            before = live.indexed
+            old_probs, csr = before.probs.copy(), before.csr()
+            updates = [
+                (u, v, round(rng.uniform(0.05, 1.0), 6))
+                for u, v, _p in rng.sample(rows, rng.randint(1, 3))
+            ]
+            live.update(GraphDelta(updates=updates))
+            patched = live.indexed
+            fresh = IndexedGraph.from_uncertain(live.graph)
+            assert patched.nodes == fresh.nodes
+            assert patched.node_index == fresh.node_index
+            for name in ("edge_u", "edge_v", "probs"):
+                mine, theirs = getattr(patched, name), getattr(fresh, name)
+                assert mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
+            for mine, theirs in zip(patched.csr(), fresh.csr()):
+                assert np.array_equal(mine, theirs)
+            assert patched.edge_u is first.edge_u
+            assert patched.csr() is csr
+            assert patched.edge_ids is first.edge_ids is not None
+            # the index a store was built over keeps its probabilities
+            assert before.probs.tobytes() == old_probs.tobytes()
+        u, v = next(
+            (u, v) for u in graph.nodes() for v in graph.nodes()
+            if u != v and not live.graph.has_edge(u, v)
+        )
+        live.update(GraphDelta(inserts=[(u, v, 0.5)]))
+        assert live.indexed.edge_u is not first.edge_u
+        assert live.indexed.edge_ids is None

@@ -289,7 +289,7 @@ def test_drifting_stream_stays_within_the_bound():
             assert set(memo.live) == set(memo.keys)
             # trimming shrinks the serialization memo along with it
             (entry,) = live._eval_cache.values()
-            assert set(entry.serial.fragments) <= set(memo.sets)
+            assert set(entry.serial.pieces) <= set(memo.sets)
         assert len(seen) > MEMO_LIMIT * THETA and trimmed
         assert MEMO_KEEP < MEMO_LIMIT
 
