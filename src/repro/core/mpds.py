@@ -13,13 +13,13 @@ shows can understate probabilities by up to 20x (Section VI-D).
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from collections import Counter
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..graph.uncertain import UncertainGraph
 from ..sampling.base import WorldSampler
 from .measures import DensityMeasure, EdgeDensity
-from .results import MPDSResult, MPDSTally, NodeSet, ScoredNodeSet
+from .results import MPDSResult, MPDSTally, NodeSet, rank_top_k
 
 #: one evaluated world: (its densest node sets, its estimator weight)
 WorldRecord = Tuple[List[NodeSet], float]
@@ -49,89 +49,41 @@ def evaluate_worlds(
         yield densest_sets, weighted.weight
 
 
-def _rank_key(item: Tuple[NodeSet, float]) -> tuple:
-    nodes, probability = item
-    return -probability, len(nodes), sorted(map(repr, nodes))
-
-
-def rank_top_k(
-    scored: Iterable[Tuple[NodeSet, float]], k: int
-) -> List[ScoredNodeSet]:
-    """The first ``k`` ``(nodes, probability)`` pairs in rank order.
-
-    Rank order is decreasing probability, then increasing size, then the
-    repr-sorted member lists; full ties keep their input order (the sort
-    is stable).  The repr key is the expensive part, so it is built only
-    for the pairs whose ``(-probability, size)`` key is at most the k-th
-    smallest such key.  That subset holds at least ``k`` pairs, every
-    pair outside it ranks below every pair inside it, and the stable
-    sort of the subset orders it exactly as the full sort does.  ``k``
-    slices like ``ranked[:k]``.
-    """
-    items = list(scored)
-    if 0 < k < len(items):
-        keys = [(-probability, len(nodes)) for nodes, probability in items]
-        boundary = heapq.nsmallest(k, keys)[-1]
-        items = [item for item, key in zip(items, keys) if key <= boundary]
-    items.sort(key=_rank_key)
-    return [
-        ScoredNodeSet(nodes, probability) for nodes, probability in items[:k]
-    ]
-
-
-def accumulate_mpds(records: Iterable[WorldRecord]) -> MPDSTally:
-    """Accumulate per-world records into the k-independent
-    :class:`MPDSTally` of Algorithm 1.
-
-    The accumulation half of the loop, again shared by the in-process
-    and fan-out evaluations.  Records must arrive in world-stream order:
-    floating-point accumulation is then performed in exactly the same
-    sequence everywhere, which is what makes the parallel merge (blocks
-    reassembled in grid order) *byte-identical* to a sequential run, not
-    merely statistically equivalent.
-    """
-    estimates: Dict[NodeSet, float] = {}
-    total_weight = 0.0
-    worlds_with_densest = 0
-    densest_counts: List[int] = []
-    actual_theta = 0
-    for densest_sets, weight in records:
-        actual_theta += 1
-        total_weight += weight
-        densest_counts.append(len(densest_sets))
-        if densest_sets:
-            worlds_with_densest += 1
-        for nodes in densest_sets:
-            estimates[nodes] = estimates.get(nodes, 0.0) + weight
-    if total_weight > 0.0:
-        # normalise so estimates are probabilities even when the sampler
-        # (e.g. RSS with empty strata) emits weights summing below 1
-        estimates = {
-            nodes: weight / total_weight for nodes, weight in estimates.items()
-        }
-    return MPDSTally(estimates, actual_theta, worlds_with_densest,
-                     densest_counts)
-
-
 def finalize_mpds(
-    records: Union[Iterable[WorldRecord], MPDSTally], k: int
+    records: Union[Iterable[WorldRecord], MPDSTally], k: int,
+    base: Optional[MPDSTally] = None, changed: Iterable[int] = (),
+    ledger: Optional[Counter] = None,
 ) -> MPDSResult:
-    """Rank per-world records (accumulated by :func:`accumulate_mpds`)
-    or an already accumulated tally into the Algorithm 1 result.
+    """Rank per-world records, or an already built tally, into the
+    Algorithm 1 result: the one finalize path of every evaluation,
+    in-process, fanned out or patched.
 
-    The result copies the tally's candidates and counts and keeps the
-    tally as its ``_base``.  A session
-    evaluation entry passes the tally it keeps, so a warm hit only
-    ranks, and only when its ``k`` outgrows the tally's ranked prefix:
-    :func:`rank_top_k` for ``k`` is the first ``k`` pairs of any longer
-    ranking.
+    Records build an :class:`MPDSTally` in world-stream order (the
+    parallel merge reassembles its blocks in grid order, so it is
+    byte-identical to a sequential run), unless ``base`` is a still
+    patchable tally of records that differ only at the worlds
+    ``changed``: the tally then moves to the new records in
+    O(changed worlds) (:meth:`MPDSTally.patched`).  The tally ranks
+    only when ``k`` outgrows its ranked prefix or a patch could not
+    carry it: :func:`rank_top_k` for ``k`` is the first ``k`` pairs of
+    any longer ranking.  The result copies the tally's candidates and
+    counts and keeps the tally as its ``_base``.  A ``ledger`` Counter
+    counts ``tally_patches``, ``tally_groups_rebuilt`` and
+    ``tally_full_ranks``.
     """
-    tally = (
-        records if isinstance(records, MPDSTally) else accumulate_mpds(records)
-    )
+    ledger = Counter() if ledger is None else ledger
+    if isinstance(records, MPDSTally):
+        tally = records
+    elif base is not None and base.patchable:
+        tally = base.patched(records, changed)
+        ledger["tally_patches"] += 1
+        ledger["tally_groups_rebuilt"] += tally.rebuilt
+    else:
+        tally = MPDSTally(records)
     ranked = tally.ranked
     if ranked is None or len(ranked) < min(k, len(tally.candidates)):
         ranked = tally.ranked = rank_top_k(tally.candidates.items(), k)
+        ledger["tally_full_ranks"] += 1
     result = MPDSResult(
         top=ranked[:k],
         candidates=dict(tally.candidates),
@@ -248,19 +200,13 @@ def estimate_tau(
 ) -> float:
     """Estimate tau(U) for one node set by Monte Carlo (Lemma 1).
 
-    Convenience wrapper: samples worlds and checks, per world, whether
-    ``nodes`` is one of the (unboundedly enumerated) densest subgraphs.
+    Convenience wrapper: samples worlds, enumerates each one's densest
+    subgraphs (unboundedly) and reads ``nodes``' estimate off their
+    :class:`MPDSTally` (0.0 when it is never densest).
     """
     from .parallel import transient_records
 
     records = transient_records(
         "mpds", graph, None, theta, measure or EdgeDensity(), seed
     )
-    target = frozenset(nodes)
-    hits = 0.0
-    total = 0.0
-    for densest, weight in records:
-        total += weight
-        if target in densest:
-            hits += weight
-    return hits / total if total else 0.0
+    return MPDSTally(records).candidates.get(frozenset(nodes), 0.0)

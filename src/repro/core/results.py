@@ -12,10 +12,14 @@ come back as lists) -- ``to_dict`` itself keeps the raw labels.
 
 from __future__ import annotations
 
+import copy
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from itertools import chain
+from operator import is_
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
 
 NodeSet = FrozenSet[Hashable]
 
@@ -32,13 +36,44 @@ def _number(value) -> str:
     return json.dumps(value)
 
 
+def _rank_key(item: Tuple[NodeSet, float]) -> tuple:
+    nodes, probability = item
+    return -probability, len(nodes), sorted(map(repr, nodes))
+
+
+def rank_top_k(
+    scored: Iterable[Tuple[NodeSet, float]], k: int
+) -> List[ScoredNodeSet]:
+    """The first ``k`` ``(nodes, probability)`` pairs in rank order.
+
+    Rank order is decreasing probability, then increasing size, then the
+    repr-sorted member lists; full ties keep their input order (the sort
+    is stable).  The repr key is the expensive part, so it is built only
+    for the pairs whose ``(-probability, size)`` key is at most the k-th
+    smallest such key.  That subset holds at least ``k`` pairs, every
+    pair outside it ranks below every pair inside it, and the stable
+    sort of the subset orders it exactly as the full sort does.  ``k``
+    slices like ``ranked[:k]``.
+    """
+    items = list(scored)
+    if 0 < k < len(items):
+        keys = [(-probability, len(nodes)) for nodes, probability in items]
+        boundary = heapq.nsmallest(k, keys)[-1]
+        items = [item for item, key in zip(items, keys) if key <= boundary]
+    items.sort(key=_rank_key)
+    return [
+        ScoredNodeSet(nodes, probability) for nodes, probability in items[:k]
+    ]
+
+
 class SerialMemo:
     """Node set -> its :func:`_node_list` (``to_dict`` fills it, handing
     out copies) and its candidate piece ``(p, "[<node list>, <p>]")``
     as ``to_json`` last rendered it.  A piece serves only the very ``p``
     it was rendered for (:meth:`render`), so racing threads and edited
-    results can re-render it but never read a stale one; owners bound
-    the memo with :meth:`retain`."""
+    results can re-render it but never read a stale one.  An
+    :class:`MPDSTally`'s world groups render through it and keep the
+    very strings it holds; owners bound the memo with :meth:`retain`."""
 
     def __init__(self) -> None:
         self.lists: Dict[NodeSet, list] = {}
@@ -93,27 +128,184 @@ class ResultDict(dict):
 
 
 class MPDSTally:
-    """The k-independent half of an Algorithm 1 result: the normalized
-    estimate of every candidate, the world counters, and ``ranked``
-    (``None`` until a result is ranked), the top of the ranking for the
-    largest k asked so far (a smaller k takes its prefix).
+    """The k-independent half of an Algorithm 1 result, patchable in
+    O(changed worlds).
 
-    :func:`repro.core.mpds.finalize_mpds` builds one and ranks it; a
-    session's evaluation entry keeps it, so a warm hit only ranks.
-    Results copy ``candidates`` and ``densest_counts``, so nothing a
-    caller does to a result reaches the tally.
+    It keeps each world's record and weight, and each candidate's worlds
+    and home (the first of them).  ``groups[i]`` maps the candidates at
+    home in world ``i`` to their estimates in record order, so
+    ``candidates``, the in-order update of the groups, follows the
+    first-seen order the JSON shows; ``parts[i]`` holds their
+    ``[nodes, p]`` pieces once a reply rendered the group; ``ranked``
+    (``None`` until ranked) is the top of the ranking for the largest k
+    asked so far.  With one weight ``w`` for every world (mc, lp), a
+    candidate in ``c`` worlds sums to ``S[c] = S[c-1] + w`` in any world
+    order, so its estimate is ``S[c] / S[theta]`` bit for bit; unequal
+    weights (RSS) sum its worlds in world order.  :meth:`patched` moves
+    the index to a new tally; the old one keeps its own candidates,
+    groups and texts for the results ranked from it.
     """
 
     __slots__ = ("candidates", "theta", "worlds_with_densest",
-                 "densest_counts", "ranked")
+                 "densest_counts", "ranked", "groups", "parts", "rebuilt",
+                 "_sets", "_weights", "_worlds", "_home", "_sums",
+                 "_table")
 
-    def __init__(self, candidates: Dict[NodeSet, float], theta: int,
-                 worlds_with_densest: int, densest_counts: List[int]) -> None:
-        self.candidates = candidates
-        self.theta = theta
-        self.worlds_with_densest = worlds_with_densest
-        self.densest_counts = densest_counts
+    def __init__(self, records: Iterable) -> None:
+        records = list(records)
+        self._weights = [weight for _sets, weight in records]
+        self._sets = [[] for _ in records]
+        self.groups = [{} for _ in records]
+        self.parts: List[Optional[List[str]]] = [None] * len(records)
+        self._worlds: Optional[Dict[NodeSet, set]] = {}
+        self._home: Dict[NodeSet, int] = {}
         self.ranked: Optional[List[ScoredNodeSet]] = None
+        self._sums = sums = [0.0]
+        for weight in self._weights:
+            sums.append(sums[-1] + weight)
+        # S[c] / S[theta] by count, when every weight is the same
+        self._table = None
+        if all(weight == sums[1] for weight in self._weights):
+            self._table = [s / sums[-1] if sums[-1] > 0.0 else s for s in sums]
+        self._apply(records, range(len(records)))
+
+    def _estimate(self, nodes: NodeSet) -> float:
+        seen = self._worlds[nodes]
+        if self._table is not None:
+            return self._table[len(seen)]
+        total = 0.0
+        for i in sorted(seen):
+            total += self._weights[i]
+        return total / self._sums[-1] if self._sums[-1] > 0.0 else total
+
+    def _first(self, nodes: NodeSet) -> Tuple[int, int]:
+        """A candidate's first-seen key: home, then record position."""
+        home = self._home[nodes]
+        return home, self._sets[home].index(nodes)
+
+    def _key(self, nodes: NodeSet, probability: float) -> tuple:
+        """:func:`rank_top_k`'s key, then the first-seen key its stable
+        sort keeps."""
+        return (-probability, len(nodes), sorted(map(repr, nodes)),
+                self._first(nodes))
+
+    @property
+    def patchable(self) -> bool:
+        """Whether no patch moved the index to a newer tally yet."""
+        return self._worlds is not None
+
+    def patched(self, records: list, changed: Iterable[int]) -> "MPDSTally":
+        """The tally of ``records``, which differ from this tally's only
+        at the worlds ``changed``: only their record differences are
+        applied, only the groups whose members moved are rebuilt, and
+        the ranked prefix is carried over unless a moved candidate
+        reaches its boundary or leaves it (a new world count or weight
+        rebuilds from scratch)."""
+        ranked, bound = self.ranked, None
+        if ranked:
+            bound = self._key(ranked[-1].nodes, ranked[-1].probability)
+        new = copy.copy(self)
+        new.groups, new.parts, self._worlds = list(self.groups), list(
+            self.parts), None
+        moved = None
+        if len(records) == len(new._sets):
+            moved = new._apply(records, changed)
+        if moved is None:
+            return MPDSTally(records)
+        new.ranked = new._carry(ranked, bound, moved)
+        return new
+
+    def _apply(self, records: list, changed: Iterable[int]):
+        """Apply the records of the worlds ``changed`` in place and
+        return the candidates that moved (``None`` if a weight moved)."""
+        sets, worlds, home = self._sets, self._worlds, self._home
+        moved, rebuild = set(), set()
+        for i in changed:
+            densest, weight = records[i]
+            before = sets[i]
+            if densest == before:
+                continue
+            if weight is not self._weights[i] and weight != self._weights[i]:
+                return None
+            sets[i] = densest
+            rebuild.add(i)
+            old, new = set(before), set(densest)
+            gone, came = old - new, new - old
+            for nodes in gone:
+                worlds[nodes].discard(i)
+            for nodes in came:
+                seen = worlds.get(nodes)
+                if seen is None:
+                    worlds[nodes] = {i}
+                else:
+                    seen.add(i)
+            moved |= gone | came
+            # a reordered record reorders the candidates at home there
+            common = old & new
+            if common and list(filter(common.__contains__, before)) != list(
+                    filter(common.__contains__, densest)):
+                moved |= common
+        rebuild.update(map(home.get, moved))
+        for nodes in moved:
+            seen = worlds[nodes]
+            if seen:
+                home[nodes] = min(seen)
+            else:
+                del worlds[nodes]
+                home.pop(nodes, None)
+        rebuild.update(map(home.get, moved))
+        rebuild.discard(None)
+        for i in rebuild:
+            self.groups[i] = {nodes: self._estimate(nodes)
+                              for nodes in sets[i] if home[nodes] == i}
+            self.parts[i] = None
+        self.rebuilt = len(rebuild)
+        self.theta = len(sets)
+        self.densest_counts = [len(densest) for densest in sets]
+        self.worlds_with_densest = sum(map(bool, self.densest_counts))
+        self.candidates = {}
+        for group in self.groups:
+            self.candidates.update(group)
+        return moved
+
+    def _carry(self, ranked, bound, moved) -> Optional[List[ScoredNodeSet]]:
+        """The old ranked prefix updated for the ``moved`` candidates, or
+        ``None`` when only a full rank is exact.  Every candidate outside
+        the pool below ranks after the old last key ``bound`` (unmoved
+        ones keep their keys), so when the pool's last of the same
+        length is within ``bound``, the pool's top is the new prefix."""
+        if not moved or not ranked:
+            return ranked
+        live, cut = self.candidates, bound[:2]
+        entering = [nodes for nodes in moved
+                    if nodes in live and (-live[nodes], len(nodes)) <= cut]
+        pool = [scored.nodes for scored in ranked if scored.nodes not in moved]
+        if not entering and len(pool) == len(ranked):
+            return ranked
+        pool += entering
+        pool.sort(key=self._first)
+        top = rank_top_k([(nodes, live[nodes]) for nodes in pool], len(ranked))
+        last = top[-1] if len(top) == len(ranked) else None
+        if last is None or self._key(last.nodes, last.probability) > bound:
+            return None
+        return top
+
+    def texts(self, candidates: Dict[NodeSet, float],
+              memo: "SerialMemo") -> Optional[List[str]]:
+        """The groups' ``[nodes, p]`` pieces in order (rendering the
+        groups no reply rendered yet), or ``None`` unless ``candidates``
+        holds exactly this tally's keys and value objects in order."""
+        mine = self.candidates
+        if len(candidates) != len(mine) or not (
+            all(map(is_, candidates, mine))
+            and all(map(is_, candidates.values(), mine.values()))
+        ):
+            return None
+        parts = self.parts
+        for i, group in enumerate(self.groups):
+            if parts[i] is None:
+                parts[i] = memo.render(group)
+        return list(chain.from_iterable(parts))
 
 
 @dataclass(frozen=True)
@@ -223,7 +415,9 @@ class MPDSResult(SerializableResult):
     probability instead of once per call; without one, each call
     serializes through a throwaway memo.  ``_base`` is the
     :class:`MPDSTally` the result was ranked from, which a session
-    entry keeps.
+    entry keeps; while ``candidates`` holds exactly the tally's keys and
+    values, ``to_json`` joins the tally's group pieces instead of
+    visiting every candidate.
     """
 
     kind = "mpds"
@@ -258,7 +452,10 @@ class MPDSResult(SerializableResult):
         at = list(fields).index("candidates")
         texts = [json.dumps(key) + ": " + json.dumps(fields[key])
                  for key in fields]
-        parts = (self._memo or SerialMemo()).render(self.candidates)
+        memo, base = self._memo or SerialMemo(), self._base
+        parts = None if base is None else base.texts(self.candidates, memo)
+        if parts is None:
+            parts = memo.render(self.candidates)
         # the small fields ride on the first and last candidate pieces
         head = "{" + ", ".join(texts[:at]) + ', "candidates": ['
         tail = "], " + ", ".join(texts[at + 1:]) + "}"

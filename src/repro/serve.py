@@ -525,6 +525,13 @@ class _HTTPError(Exception):
         self.status = status
 
 
+#: per request thread: ``replied``, set once the handler has written
+#: its reply (a ``POST /shutdown`` stops the listener only after that)
+_REQUEST = threading.local()
+#: how long a shutdown waits for its own reply to be written
+REPLY_WAIT_S = 5.0
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
@@ -558,8 +565,10 @@ class _Handler(BaseHTTPRequestHandler):
                 return
         else:
             body = {}
+        _REQUEST.replied = replied = threading.Event()
         status, payload = self.server.repro.handle(method, self.path, body)
         self._reply(status, payload)
+        replied.set()
 
     def _reply(self, status: int, payload: dict) -> None:
         data = encode_reply(payload)
@@ -908,15 +917,22 @@ class ReproServer:
         raise _HTTPError(404, f"no route for {method} {path}")
 
     def _handle_shutdown(self, body: dict):
-        """Begin draining immediately; finish shutdown off-thread so the
-        acknowledgement can still be written to this client."""
+        """Begin draining immediately; finish shutdown off-thread once
+        the acknowledgement is written to this client (within
+        ``REPLY_WAIT_S``), so the process cannot exit mid-reply."""
         _check_body_keys(body, "shutdown", SHUTDOWN_KEYS)
         timeout = _body_timeout(body)
         self.admission.begin_drain()
         snapshot = self.admission.snapshot()
+        replied = getattr(_REQUEST, "replied", None)
+
+        def stop() -> None:
+            if replied is not None:
+                replied.wait(REPLY_WAIT_S)
+            self.shutdown(timeout)
+
         threading.Thread(
-            target=self.shutdown, args=(timeout,),
-            name="repro-serve-shutdown", daemon=True,
+            target=stop, name="repro-serve-shutdown", daemon=True
         ).start()
         return 202, {
             "draining": True,

@@ -257,13 +257,15 @@ class _EvalEntry:
     only the misses: records are per-world, so the splice is
     byte-identical to a full pass.  Updates drop entries that replayed
     truncated worlds.  MPDS results serialize through ``serial``, which
-    keeps one text piece per candidate and outlives patches, so a step
-    re-renders only the candidates whose probability moved; the world
+    keeps one text piece per candidate and outlives patches; the world
     memo bounds it.
 
     ``tally`` is the k-independent half of an MPDS finalize (the
-    :class:`MPDSTally`), filled by the first MPDS hit; later hits only
-    rank.
+    :class:`MPDSTally`), built by the leader that evaluated the entry;
+    hits only rank.  The leader that patches a dirty entry hands its
+    tally to the new entry through ``finalize_mpds``, which applies
+    only the flipped worlds' record changes, and only then publishes
+    the new entry.
 
     ``mined`` maps an NDS query's exact ``(k, min_size)`` to the
     :class:`NDSResult` the first hit of that shape mined, so a later
@@ -272,8 +274,8 @@ class _EvalEntry:
     arrival order).  It keeps at most ``NDS_MEMO_LIMIT`` shapes.
 
     A dirty entry is never served, and its patch builds a new entry
-    without a tally or mined results, so neither outlives the records
-    it was built from (a piece serves only the probability it shows).
+    without mined results; the stale tally keeps what its own results
+    serialize but can no longer be patched.
     """
 
     records: list
@@ -422,6 +424,11 @@ class Session:
             "evals_patched": 0,
             "worlds_reevaluated": 0,
             "world_memo_hits": 0,
+            # MPDS tally ledger: patches moved to new records, world
+            # groups they rebuilt, and rankings over every candidate
+            "tally_patches": 0,
+            "tally_groups_rebuilt": 0,
+            "tally_full_ranks": 0,
         }
 
     # ------------------------------------------------------------------
@@ -1115,10 +1122,14 @@ class Query:
                 flight.wait()
                 continue
             try:
-                entry = evaluate(entry)  # None, or a dirty entry
+                # the leader finalizes before publishing, so the stale
+                # entry's tally moves to the patched one exactly once
+                stale, entry = entry, evaluate(entry)  # None, or dirty
+                result = self._finalize(mode, entry.records,
+                                        entry.replayed, entry, stale)
                 with session._lock:
                     session._eval_cache[ekey] = entry
-                break
+                return result
             finally:
                 with session._lock:
                     session._eval_flights.pop(ekey, None)
@@ -1206,22 +1217,28 @@ class Query:
             mode, worlds, loop_measure, engine_measure, *self._knobs(mode)
         )
 
-    def _finalize(self, mode, records, replayed, entry=None):
+    def _finalize(self, mode, records, replayed, entry=None, stale=None):
         """Finalize records into a result.  From a cached ``entry``, an
         MPDS query ranks the entry's tally (building it on the first
-        hit) and serializes through the entry's memo, and an NDS query
-        copies the result its shape mined before (mining it on the
-        first hit)."""
+        hit, by patching the ``stale`` entry's tally when the entry
+        replaces one) and serializes through the entry's memo, and an
+        NDS query copies the result its shape mined before (mining it
+        on the first hit)."""
         if mode == "mpds":
             tally = entry.tally if entry is not None else None
+            ledger = Counter()
             result = finalize_mpds(
-                iter(records) if tally is None else tally, self._k
+                records if tally is None else tally, self._k,
+                base=stale.tally if stale is not None else None,
+                changed=stale.dirty if stale is not None else (),
+                ledger=ledger,
             )
             result.replayed_worlds = replayed
+            with self._session._lock:
+                for key, n in ledger.items():
+                    self._session.stats[key] += n
             if entry is not None:
-                if tally is None:
-                    # racing first hits each keep an equal tally
-                    entry.tally = result._base
+                entry.tally = result._base
                 result._memo = entry.serial
             return result
         shape, lock = (self._k, self._min_size), self._session._lock

@@ -20,7 +20,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.mpds import finalize_mpds, rank_top_k
@@ -116,6 +116,83 @@ def test_ties_straddling_rank_k(k):
     reference = reference_finalize_mpds(iter(records), k)
     assert _json(result) == _json(reference)
     assert result.top == reference.top
+
+
+# ----------------------------------------------------------------------
+# the tally patched across record changes
+# ----------------------------------------------------------------------
+A, B, C, D, E = (frozenset({1, 2}), frozenset({3}), frozenset({TWINS[0], 0}),
+                 frozenset({TWINS[1], 0}), frozenset({"a", "b"}))
+FIRST = [[A, B], [C], [A, D]]
+#: shared sets, a first-seen world moving later (A, C) and earlier (A),
+#: a top-k exit (A), sets that vanish and come back (C, D) and twins
+#: tied on the full rank key at rank k
+STEPS = [({0: [B]}, 1), ({0: [A, B], 1: [C, D]}, 2), ({1: [], 2: []}, 3),
+         ({1: [D, C], 2: [C, E]}, 5), ({0: [C], 1: [D], 2: []}, 1),
+         ({0: [], 2: [C]}, 1)]
+
+
+@st.composite
+def patch_streams(draw):
+    """Per-world weights (equal, all zero, or unequal as RSS gives),
+    first records, and steps that each replace some worlds' records
+    and ask for a ``k``."""
+    pool = draw(st.lists(st.frozensets(LABELS, min_size=1, max_size=3),
+                         min_size=1, max_size=8, unique=True))
+    theta = draw(st.integers(1, 6))
+    weights = draw(
+        st.sampled_from([[1 / theta] * theta, [0.0] * theta])
+        | st.lists(WEIGHTS, min_size=theta, max_size=theta)
+    )
+    record = st.lists(st.sampled_from(pool), max_size=4, unique=True)
+    first = [draw(record) for _ in range(theta)]
+    steps = draw(st.lists(st.tuples(
+        st.dictionaries(st.integers(0, theta - 1), record, max_size=theta),
+        st.integers(1, len(pool) + 2),
+    ), min_size=1, max_size=6))
+    return weights, first, steps
+
+
+def _text(result):
+    """``to_json()`` through the group texts, or ``None`` for twins."""
+    try:
+        return result.to_json()
+    except TypeError:
+        return None
+
+
+def _matches_rebuild(result, records, k) -> None:
+    reference = reference_finalize_mpds(iter(records), k)
+    assert _json(result) == _json(reference)
+    assert _text(result) == _text(reference)
+    assert result.top == reference.top
+    assert list(result.candidates) == list(reference.candidates)
+
+
+@given(stream=patch_streams())
+@example(stream=([1 / 3] * 3, FIRST, STEPS))
+@example(stream=([0.25, 0.5, 1 / 3], FIRST, STEPS))
+@example(stream=([0.0] * 3, FIRST, STEPS))
+@settings(max_examples=60, deadline=None)
+def test_patched_tally_matches_a_rebuild(stream):
+    """Each patch moves the tally to the new records; the result, and a
+    larger k ranked from the patched tally, equal the frozen reference
+    rebuilt from scratch, and the pre-patch result still serializes to
+    its own candidates."""
+    weights, first, steps = stream
+    records = list(zip(first, weights))
+    result = finalize_mpds(records, 1)
+    for updates, k in steps:
+        before, text = result, _text(result)
+        records = list(records)
+        for i, sets in updates.items():
+            records[i] = (list(sets), weights[i])
+        result = finalize_mpds(records, k, base=before._base,
+                               changed=set(updates) | {0})
+        assert not before._base.patchable
+        _matches_rebuild(result, records, k)
+        _matches_rebuild(finalize_mpds(result._base, k + 2), records, k + 2)
+        assert _text(before) == text
 
 
 @pytest.mark.parametrize("k", [-2, 0, 1, 3, 4, 9])
@@ -241,9 +318,10 @@ def test_memo_is_invisible_to_equality_repr_and_round_trip(dense_graph):
 
 
 def test_threads_fill_one_memo_consistently(dense_graph):
-    """Server threads serialize warm hits through one shared memo:
-    concurrent fills must all produce the same bytes and leave exactly
-    the entry's candidates behind."""
+    """Server threads serialize warm hits through one shared memo and
+    one tally: concurrent fills of the pieces and the tally's group
+    texts must all produce the same bytes and leave exactly the entry's
+    candidates behind."""
     with Session(dense_graph) as session:
         result = _query(session)
         expected = finalize_mpds(iter(_entry(session).records), 5).to_json()
@@ -259,6 +337,8 @@ def test_threads_fill_one_memo_consistently(dense_graph):
         try:
             for _ in range(4):
                 memo.clear()
+                parts = _entry(session).tally.parts
+                parts[:] = [None] * len(parts)
                 threads = [threading.Thread(target=serialize)
                            for _ in range(4)]
                 for thread in threads:

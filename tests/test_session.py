@@ -734,3 +734,40 @@ def test_probability_updates_reweight_the_index():
         live.update(GraphDelta(inserts=[(u, v, 0.5)]))
         assert live.indexed.edge_u is not first.edge_u
         assert live.indexed.edge_ids is None
+
+
+def test_a_restore_that_changes_no_record_rebuilds_no_group():
+    """A what-if pair on an edge outside every densest subgraph flips
+    worlds without changing their records: each step patches the
+    tally, rebuilds no world group and ranks nothing again, and both
+    answers equal a from-scratch session's."""
+    from repro.delta import GraphDelta
+    from repro.graph.uncertain import UncertainGraph
+
+    graph = UncertainGraph()
+    for u in range(5):
+        for v in range(u + 1, 5):
+            graph.add_edge(u, v, 0.95)
+    graph.add_edge(10, 11, 0.5)
+    graph.add_edge(11, 12, 0.5)
+
+    def query(session):
+        return (
+            session.query().sampler("mc", theta=32, seed=3)
+            .dynamic().top_k(2).mpds().to_json()
+        )
+
+    tally = ("tally_patches", "tally_groups_rebuilt", "tally_full_ranks")
+    with Session(graph.copy()) as live:
+        query(live)
+        for probability in (0.9, 0.5):  # the move, then its restore
+            before = live.stats_snapshot()
+            summary = live.update(
+                GraphDelta(updates=[(10, 11, probability)])
+            )
+            text = query(live)
+            after = live.stats_snapshot()
+            assert summary["worlds_flipped"] > 0
+            assert [after[key] - before[key] for key in tally] == [1, 0, 0]
+            with Session(live.graph.copy()) as scratch:
+                assert query(scratch) == text
